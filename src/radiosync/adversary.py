@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .core import ConfigError, SimConfig, Topology, complete_topology
 from .engine import energy, run
-from .policy import PolicyString, basic_policy
+from .policy import PolicyString, basic_policy, masks_overlap
 from .protocols import ceil_sqrt
 
 
@@ -135,23 +135,9 @@ def build_topology(spec, m: int | None = None) -> Topology:
 
 
 def _masks(schedules):
-    out = []
-    for s in schedules:
-        if isinstance(s, PolicyString):
-            out.append(s.mask)
-        else:
-            m = 0
-            for i, b in enumerate(s):
-                if b:
-                    m |= 1 << i
-            out.append(m)
-    return out
-
-
-def _pair_overlaps(mask_a, mask_b, d):
-    if d >= 0:
-        return (mask_a >> d) & mask_b != 0
-    return (mask_b >> (-d)) & mask_a != 0
+    """Bit masks of PolicyStrings or plain 0/1 sequences, built once per search."""
+    return [(s if isinstance(s, PolicyString) else PolicyString(tuple(s), 0)).mask
+            for s in schedules]
 
 
 def search_non_overlap(schedules, n: int) -> OffsetWitness | None:
@@ -180,7 +166,7 @@ def search_non_overlap(schedules, n: int) -> OffsetWitness | None:
 def _verify_witness(masks, offsets):
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
-            if _pair_overlaps(masks[i], masks[j], offsets[j] - offsets[i]):
+            if masks_overlap(masks[i], masks[j], offsets[j] - offsets[i]):
                 return False
     return True
 
@@ -191,16 +177,16 @@ def _search_exhaustive(masks, n):
     if len(masks) == 2:
         # offsets with the first schedule at 0 sort lexicographically first
         for d in [*range(0, n + 1), *range(-1, -n - 1, -1)]:
-            if not _pair_overlaps(masks[0], masks[1], d):
+            if not masks_overlap(masks[0], masks[1], d):
                 return [max(0, -d), max(0, d)]
         return None
     for d1 in range(-n, n + 1):
-        if _pair_overlaps(masks[0], masks[1], d1):
+        if masks_overlap(masks[0], masks[1], d1):
             continue
         for d2 in range(-n, n + 1):
-            if _pair_overlaps(masks[0], masks[2], d2):
+            if masks_overlap(masks[0], masks[2], d2):
                 continue
-            if _pair_overlaps(masks[1], masks[2], d2 - d1):
+            if masks_overlap(masks[1], masks[2], d2 - d1):
                 continue
             base = max(0, -d1, -d2)
             if max(base, base + d1, base + d2) <= n:
@@ -213,7 +199,7 @@ def _search_pairwise(masks, n):
     for mask in masks[1:]:
         placed = None
         for t in range(n + 1):
-            if all(not _pair_overlaps(masks[i], mask, t - offsets[i])
+            if all(not masks_overlap(masks[i], mask, t - offsets[i])
                    for i in range(len(offsets))):
                 placed = t
                 break

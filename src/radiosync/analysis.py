@@ -15,6 +15,7 @@ Conventions (all exact, no floats):
 """
 
 import bisect
+import functools
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,7 +176,7 @@ def final_window(trace) -> tuple:
     return (L * 4 * trace.n, L * 4 * trace.n + 2 * trace.n)
 
 
-def _check_rendezvous_group(trace, tick, recs, details):
+def _check_rendezvous_group(trace, tick, recs, details, all_clusters):
     """Validate one same-tick report exchange; returns False on any error.
 
     Every reporter at the tick must have heard exactly the others, rank
@@ -191,6 +192,7 @@ def _check_rendezvous_group(trace, tick, recs, details):
     of [4n + (p+q)/2 - ell*k^2/2, 4n + (p+q)/2 + ell*k^2/2].  Groups that
     reschedule already-merged heavy clusters lose leading on-ticks (a radio
     cannot switch on in the past) and are checked for arithmetic only.
+    all_clusters() returns clusters(trace); only pristine groups call it.
     """
     import math
 
@@ -216,7 +218,7 @@ def _check_rendezvous_group(trace, tick, recs, details):
         # the cluster actually containing this group's policies, over the
         # full policy pool: a neighbour's clipped policy can share the
         # interval without ever sharing an on-tick, leaving it unsynced
-        cluster = _cluster_containing(trace, ids[0], phase)
+        cluster = _cluster_containing(trace, ids[0], phase, all_clusters)
         if cluster is None:
             pristine = False
         else:
@@ -275,31 +277,7 @@ def _check_rendezvous_group(trace, tick, recs, details):
     return ok
 
 
-def check_flatten_phase(trace, phase: int) -> CheckReport:
-    """Validate the reschedule groups involving phase-`phase` policies."""
-    details = []
-    ok = True
-    groups = {}
-    for rec in trace.stage2:
-        groups.setdefault(rec.tick, []).append(rec)
-    for tick, recs in sorted(groups.items()):
-        if any(r.phase == phase for r in recs):
-            ok = _check_rendezvous_group(trace, tick, recs, details) and ok
-    return CheckReport(name=f"flatten-phase-{phase}", passed=ok, details=details)
-
-
-_cluster_cache: dict = {}
-
-
-def _all_clusters(trace):
-    if _cluster_cache.get("trace") is not trace:
-        _cluster_cache.clear()
-        _cluster_cache["trace"] = trace  # keep it alive while cached
-        _cluster_cache["clusters"] = clusters(trace)
-    return _cluster_cache["clusters"]
-
-
-def _cluster_containing(trace, owner, phase):
+def _cluster_containing(trace, owner, phase, all_clusters):
     """The cluster (over the whole policy pool) holding this owner's
     phase policy."""
     target = None
@@ -309,7 +287,7 @@ def _cluster_containing(trace, owner, phase):
             break
     if target is None:
         return None
-    for c in _all_clusters(trace):
+    for c in all_clusters():
         if target in c.records:
             return c
     return None
@@ -329,8 +307,9 @@ def check_flatten(trace) -> CheckReport:
     groups = {}
     for rec in trace.stage2:
         groups.setdefault(rec.tick, []).append(rec)
+    all_clusters = functools.cache(functools.partial(clusters, trace))
     for tick, recs in sorted(groups.items()):
-        ok = _check_rendezvous_group(trace, tick, recs, details) and ok
+        ok = _check_rendezvous_group(trace, tick, recs, details, all_clusters) and ok
     return CheckReport(name="flatten", passed=ok, details=details)
 
 

@@ -192,6 +192,8 @@ def cmd_run(args) -> int:
     for c in wanted:
         if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r}; choose from {CHECKS}")
+    if args.trace and cfg.fractional:
+        raise ConfigError("per-tick CSV traces are integer-mode only")
     trace = run_fractional(cfg) if cfg.fractional else run(cfg)
     checks = _run_checks(trace, wanted, cfg.fractional)
     report = _report(trace, checks, cfg.fractional)
@@ -202,8 +204,6 @@ def cmd_run(args) -> int:
     else:
         sys.stdout.write(blob)
     if args.trace:
-        if cfg.fractional:
-            raise ConfigError("per-tick CSV traces are integer-mode only")
         _write_trace_csv(trace, args.trace)
     failed = sorted(name for name, res in checks.items() if not res["passed"])
     if failed:

@@ -20,12 +20,33 @@ policies; a tick counts once for energy however many policies cover it.
 
 import hashlib
 import json
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import SimConfig, default_horizon, validate_config
+from .core import ConfigError, SimConfig, default_horizon, validate_config
 from . import protocols
+
+HALF = Fraction(1, 2)
+
+
+def adopt_fractional(tau_v, q_v, qp):
+    """Clock adoption with carry: returns the normalized (tau, q) pair."""
+    tau = tau_v
+    q = Fraction(q_v) + Fraction(qp)
+    if q > HALF:
+        tau += 1
+        q -= 1
+    elif q < -HALF:
+        tau -= 1
+        q += 1
+    return tau, q
+
+
+def last_slot(wake, horizon):
+    """Start of a processor's last slot at or before the horizon."""
+    return wake + math.floor(horizon - wake)
 
 
 @dataclass
@@ -240,19 +261,11 @@ class _ProcCtx:
         old = self._delta
         old_q = self.q_frac
         old_key = None if old is None else old + old_q
+        if q_v is not None:
+            tau_v, self.q_frac = adopt_fractional(tau_v, q_v, q_prime)
         self._delta = tau_v - t
         if j_v is not None:
             self._push_jstep(t, j_v - t)
-        if q_v is not None:
-            # fractional bookkeeping: q := q_v + q', then one normalization step
-            q = q_v + q_prime
-            if q > Fraction(1, 2):
-                self._delta += 1
-                q -= 1
-            elif q < Fraction(-1, 2):
-                self._delta -= 1
-                q += 1
-            self.q_frac = q
         if self._delta != old or self.q_frac != old_q:
             self.world._clock_change(self.id, old_key, self._delta + self.q_frac)
             self.world.trace.clock_events.append((t, self.id, self.tau(t), self.q_frac))
@@ -300,10 +313,16 @@ class _ProcCtx:
 
 
 class World:
-    """Mutable simulation state; `step` advances exactly one global tick."""
+    """Mutable simulation state; `step` advances exactly one global tick.
+
+    The set-up, policy scheduling, clock bookkeeping and final accounting
+    here are shared with the fractional engine (fractional.FracWorld), which
+    drives the same state from an event queue instead of `step`.
+    """
 
     def __init__(self, cfg: SimConfig, record_messages: bool | None = None):
         cfg = validate_config(cfg)
+        self._check_mode(cfg)
         self.cfg = cfg
         self.n = cfg.n
         self.m = cfg.m
@@ -325,8 +344,8 @@ class World:
         )
         self.trace.energy_counts = {i: 0 for i in range(1, self.m + 1)}
 
-        self._on_map: dict[int, set] = defaultdict(set)
-        self._wake_at: dict[int, list] = defaultdict(list)
+        self._on_map: dict = defaultdict(set)
+        self._wake_at: dict = defaultdict(list)
         for pid, w in enumerate(cfg.wake_times, start=1):
             self._wake_at[w].append(pid)
 
@@ -334,13 +353,21 @@ class World:
         self.procs = {i: protocols.make_protocol(cfg.algorithm, self.ctxs[i], self)
                       for i in range(1, self.m + 1)}
         self._awake: set[int] = set()
+        self._in_wake_hook = False
 
         # incremental synchronization tracking: tau(t) = t + delta, so the
-        # clocks agree exactly when every awake delta agrees
+        # clocks agree exactly when every awake delta (plus carry) agrees.
+        # Clocks change only at wakes and radio-on slots; the engine settles
+        # each tick before the first change that follows it.
         self._delta_counter: Counter = Counter()
+        self._unequal = True
+        self._settled = 0  # ticks before this one are settled
         self._last_unequal = -1
-        self._max_wake = max(cfg.wake_times) if cfg.wake_times else 0
-        self._in_wake_hook = False
+
+    def _check_mode(self, cfg):
+        if cfg.fractional:
+            raise ConfigError("fractional configs run on fractional.run_fractional;"
+                              " the integer engine needs integer wake times")
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, owner, kind, bits, initial_len, nominal_start, phase, meta):
@@ -352,30 +379,57 @@ class World:
                            effective_from=effective, phase=phase, meta=meta)
         self.trace.policies.append(rec)
         for g in rec.active_on_ticks():
-            if g <= self.horizon:
-                self._on_map[g].add(owner)
+            if g < self.horizon + 1:
+                self._mark_on(g, owner)
         return rec
 
+    def _mark_on(self, g, owner):
+        self._on_map[g].add(owner)
+
+    # -- clock bookkeeping ---------------------------------------------------
     def _clock_change(self, pid, old_delta, new_delta):
         if old_delta is not None:
             self._delta_counter[old_delta] -= 1
             if self._delta_counter[old_delta] == 0:
                 del self._delta_counter[old_delta]
         self._delta_counter[new_delta] += 1
+        self._unequal = len(self._awake) < self.m or len(self._delta_counter) != 1
+
+    def _settle(self, t):
+        """Ticks before t are over: note whether they ended unsynchronized."""
+        if t > self._settled:
+            if self._unequal:
+                self._last_unequal = t - 1
+            self._settled = t
+
+    def _wake(self, t, pid):
+        ctx = self.ctxs[pid]
+        ctx.wake = t
+        self._awake.add(pid)
+        self.tick = t
+        self._in_wake_hook = True
+        ctx.adopt(t, 0)  # clocks start at zero on wake
+        self.procs[pid].on_wake(t)
+        self._in_wake_hook = False
+
+    def _finish(self):
+        self._settle(self.horizon + 1)
+        self.trace.sync_complete_tick = None if self._unequal else self._last_unequal + 1
+        for pid, ctx in self.ctxs.items():
+            if ctx._delta is not None:
+                self.trace.final_clocks[pid] = (
+                    last_slot(ctx.wake, self.horizon) + ctx._delta, ctx.q_frac)
+        return self.trace
 
     # -- tick loop -----------------------------------------------------------
     def step(self):
         """Advance one tick: wake, compute radio-on set, exchange, account."""
         t = self.tick
-        for pid in self._wake_at.get(t, ()):
-            ctx = self.ctxs[pid]
-            ctx.wake = t
-            ctx._delta = None
-            self._awake.add(pid)
-            self._in_wake_hook = True
-            ctx.adopt(t, 0)  # clocks start at zero on wake
-            self.procs[pid].on_wake(t)
-            self._in_wake_hook = False
+        wakers = self._wake_at.get(t, ())
+        if wakers or t in self._on_map:
+            self._settle(t)
+        for pid in wakers:
+            self._wake(t, pid)
 
         on = self._on_map.get(t)
         if on:
@@ -396,9 +450,6 @@ class World:
         if t == 2 * self.n:
             for pid in sorted(self._awake):
                 self.procs[pid].audit(t)
-
-        if len(self._awake) < self.m or len(self._delta_counter) != 1:
-            self._last_unequal = t
         self.tick += 1
 
     def _exchange(self, t, on_sorted, phase_name, inbox):
@@ -422,13 +473,7 @@ class World:
     def run(self):
         while self.tick <= self.horizon:
             self.step()
-        equal = len(self._awake) == self.m and len(self._delta_counter) == 1
-        self.trace.sync_complete_tick = self._last_unequal + 1 if equal else None
-        for pid in range(1, self.m + 1):
-            ctx = self.ctxs[pid]
-            if ctx._delta is not None:
-                self.trace.final_clocks[pid] = (self.horizon + ctx._delta, ctx.q_frac)
-        return self.trace
+        return self._finish()
 
 
 def _cfg_echo(cfg, k, horizon):

@@ -22,11 +22,9 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
-from .core import ConfigError, default_horizon, validate_config
-from .engine import SimTrace, _ProcCtx, _cfg_echo
-from . import protocols
-
-HALF = Fraction(1, 2)
+from .core import ConfigError
+from .engine import HALF, SimTrace, World, last_slot
+from .engine import adopt_fractional  # noqa: F401  (this mode's carry rule)
 
 
 def overlap_fraction(u_on, v_on):
@@ -47,153 +45,62 @@ def q_prime(q, u_started_after_v: bool) -> Fraction:
     return 1 - q if u_started_after_v else q - 1
 
 
-def adopt_fractional(tau_v, q_v, qp):
-    """Clock adoption with carry: returns the normalized (tau, q) pair."""
-    tau = tau_v
-    q = Fraction(q_v) + Fraction(qp)
-    if q > HALF:
-        tau += 1
-        q -= 1
-    elif q < -HALF:
-        tau -= 1
-        q += 1
-    return tau, q
-
-
 def timeline_anchor(wake, slot_index, tau, q) -> Fraction:
     """wake + slot - tau - q: identical across synchronized processors."""
     return Fraction(wake) + slot_index - tau - Fraction(q)
 
 
-class FracWorld:
+class FracWorld(World):
     """Event-driven engine over rational slot grids.
 
-    Events are processed in ascending instant order: wakes, then slot-start
-    exchanges, then slot closes half a unit later (where completion
-    sampling and reschedule computations run, after every message that can
-    still reach the slot has arrived).  Protocol handlers are the same
-    classes the integer engine drives; they see their own grid instants as
-    "global ticks" (their local arithmetic only ever adds integers).
+    It drives the integer engine's state (set-up, scheduling, clock and
+    synchronization bookkeeping) from an event queue.  Events are processed
+    in ascending instant order: wakes, then slot-start exchanges, then slot
+    closes half a unit later (where completion sampling and reschedule
+    computations run, after every message that can still reach the slot
+    has arrived).  Protocol handlers are the same classes the integer
+    engine drives; they see their own grid instants as "global ticks"
+    (their local arithmetic only ever adds integers).
     """
 
     def __init__(self, cfg):
-        cfg = validate_config(cfg)
+        super().__init__(cfg, record_messages=False)
+        # event heap of (instant, kind, owner): kind 0 wake, 1 slot-start
+        # exchange, 2 slot close; the order breaks same-instant ties
+        self._events = [(w, 0, pid) for pid, w in enumerate(self.cfg.wake_times, start=1)]
+        heapq.heapify(self._events)
+        self._queued_instants: set = set()
+        self._slot_inbox: dict[int, list] = {}
+        self._slot_start: dict[int, Fraction] = {}
+
+    def _check_mode(self, cfg):
         if not cfg.fractional:
             raise ConfigError("FracWorld requires fractional=True")
         if cfg.algorithm == "dynamic-synch":
             raise ConfigError(
                 "fractional mode supports synchronize, naive and pairwise; the"
                 " queue protocol's sub-unit hand-off timing is not defined")
-        self.cfg = cfg
-        self.n = cfg.n
-        self.m = cfg.m
-        self.algorithm = cfg.algorithm
-        self.k = protocols.schedule_k(cfg)
-        span = protocols.base_policy_span(cfg, self.k)
-        self.horizon = (cfg.max_ticks if cfg.max_ticks is not None
-                        else default_horizon(cfg.n, self.k, cfg.algorithm, span))
-        self.adj = cfg.topology.adjacency()
-        self.trace = SimTrace(
-            cfg=_cfg_echo(cfg, self.k, self.horizon),
-            n=self.n, m=self.m, k=self.k, horizon=self.horizon,
-            wakes=list(cfg.wake_times), messages=None,
-        )
-        self.trace.energy_counts = {i: 0 for i in range(1, self.m + 1)}
 
-        self.ctxs = {i: _ProcCtx(self, i) for i in range(1, self.m + 1)}
-        self.procs = {i: protocols.make_protocol(cfg.algorithm, self.ctxs[i], self)
-                      for i in range(1, self.m + 1)}
-
-        self._on_map: dict[Fraction, set] = {}
-        # event heap of (instant, kind, owner): kind 0 wake, 1 slot-start
-        # exchange, 2 slot close; the order breaks same-instant ties
-        self._events: list = []
-        self._queued_instants: set = set()
-        self._delta_counter: dict = {}
-        self._awake: set = set()
-        self._last_unequal_base = -1
-        self._slot_inbox: dict[int, list] = {}
-        self._slot_start: dict[int, Fraction] = {}
-        self.tick = Fraction(0)  # current instant, for _schedule's effective_from
-        self._in_wake_hook = False
-
-        for pid, w in enumerate(cfg.wake_times, start=1):
-            heapq.heappush(self._events, (Fraction(w), 0, pid))
-        self._queued_instants = set()
-
-    # engine-interface bits shared with the integer World ---------------------
-    def _clock_change(self, pid, old_key, new_key):
-        if old_key is not None:
-            self._delta_counter[old_key] -= 1
-            if self._delta_counter[old_key] == 0:
-                del self._delta_counter[old_key]
-        self._delta_counter[new_key] = self._delta_counter.get(new_key, 0) + 1
-
-    def _schedule(self, owner, kind, bits, initial_len, nominal_start, phase, meta):
-        from .engine import PolicyRecord
-
-        if not bits or bits[-1] != 1:
-            raise ValueError("policy strings must end with an on-tick")
-        effective = self.tick if self._in_wake_hook else self.tick + 1
-        rec = PolicyRecord(owner=owner, kind=kind, bits=tuple(bits),
-                           initial_len=initial_len, nominal_start=nominal_start,
-                           effective_from=effective, phase=phase, meta=meta)
-        self.trace.policies.append(rec)
-        for g in rec.active_on_ticks():
-            if g < self.horizon + 1:
-                if g not in self._on_map:
-                    self._on_map[g] = set()
-                self._on_map[g].add(owner)
-                self._push_instant(g)
-        return rec
-
-    def _push_instant(self, instant):
-        if instant not in self._queued_instants:
-            self._queued_instants.add(instant)
-            heapq.heappush(self._events, (instant, 1, 0))
+    def _mark_on(self, g, owner):
+        super()._mark_on(g, owner)
+        if g not in self._queued_instants:
+            self._queued_instants.add(g)
+            heapq.heappush(self._events, (g, 1, 0))
 
     # event loop --------------------------------------------------------------
     def run(self) -> SimTrace:
-        base_done = 0
         while self._events:
             instant, kind, pid = heapq.heappop(self._events)
             if instant >= self.horizon + 1:
                 break
-            while instant >= base_done + 1:  # whole base ticks passed by
-                self._base_tick_done(base_done)
-                base_done += 1
+            self._settle(math.floor(instant))
             if kind == 0:
                 self._wake(instant, pid)
             elif kind == 1:
                 self._slot_starts(instant)
             else:
                 self._slot_close(instant, pid)
-        while base_done <= self.horizon:
-            self._base_tick_done(base_done)
-            base_done += 1
-        equal = len(self._awake) == self.m and len(self._delta_counter) == 1
-        self.trace.sync_complete_tick = (self._last_unequal_base + 1) if equal else None
-        for pid in range(1, self.m + 1):
-            ctx = self.ctxs[pid]
-            if ctx._delta is not None:
-                w = self.cfg.wake_times[pid - 1]
-                last_slot = w + math.floor(self.horizon - w)
-                self.trace.final_clocks[pid] = (last_slot + ctx._delta, ctx.q_frac)
-        return self.trace
-
-    def _base_tick_done(self, t):
-        if len(self._awake) < self.m or len(self._delta_counter) != 1:
-            self._last_unequal_base = t
-
-    def _wake(self, instant, pid):
-        ctx = self.ctxs[pid]
-        ctx.wake = instant
-        self._awake.add(pid)
-        self.tick = instant
-        self._in_wake_hook = True
-        ctx.adopt(instant, 0)
-        self.procs[pid].on_wake(instant)
-        self._in_wake_hook = False
+        return self._finish()
 
     def _current_on_slot(self, pid, instant):
         """Start of pid's radio-on slot overlapping `instant` by >= 1/2."""
@@ -246,10 +153,7 @@ class FracWorld:
                           key=lambda m: (m.sender, m.kind, m.payload))
             self._slot_inbox.setdefault(pid, []).extend(msgs)
             self.tick = self._slot_start.get(pid, instant)
-            proto = self.procs[pid]
-            if proto.ADOPTS:
-                protocols._adopt_from(self.ctxs[pid], self.tick, msgs,
-                                      proto.USES_POLICY_PROGRESS)
+            self.procs[pid].adopt(self.tick, msgs)
 
     def _slot_close(self, instant, pid):
         s = instant - HALF
@@ -270,20 +174,10 @@ def run_fractional(cfg) -> SimTrace:
     return FracWorld(cfg).run()
 
 
-def run_any(cfg) -> SimTrace:
-    """Dispatch on cfg.fractional: one entry point for both engines."""
-    if cfg.fractional:
-        return run_fractional(cfg)
-    return World(cfg).run()
-
-
 def anchors(trace) -> dict:
     """Timeline anchor of every processor at the end of a trace."""
-    import math
-
     out = {}
     for pid, (tau, q) in trace.final_clocks.items():
         w = trace.wakes[pid - 1]
-        last_slot = w + math.floor(trace.horizon - w)
-        out[pid] = timeline_anchor(w, last_slot - w, tau, q)
+        out[pid] = timeline_anchor(w, last_slot(w, trace.horizon) - w, tau, q)
     return out

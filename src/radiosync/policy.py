@@ -82,9 +82,13 @@ def on_ticks(p: PolicyString, start_global: int) -> set[int]:
     return {start_global + j for j in p.one_positions}
 
 
+def masks_overlap(mask_a: int, mask_b: int, d: int) -> bool:
+    """True iff mask_b, started d ticks after mask_a, shares a set bit with it."""
+    if d >= 0:
+        return (mask_a >> d) & mask_b != 0
+    return (mask_b >> (-d)) & mask_a != 0
+
+
 def overlaps(p: PolicyString, off_a: int, q: PolicyString, off_b: int) -> bool:
     """True iff the two scheduled policies share a radio-on tick."""
-    d = off_b - off_a
-    if d >= 0:
-        return (p.mask >> d) & q.mask != 0
-    return (q.mask >> (-d)) & p.mask != 0
+    return masks_overlap(p.mask, q.mask, off_b - off_a)

@@ -19,6 +19,7 @@ the clock itself; messages carry the clock in the progress field.
 """
 
 import math
+from typing import NamedTuple
 
 from .core import ceil_log2, compute_k
 from .policy import basic_policy, naive_policy
@@ -49,6 +50,22 @@ def base_policy_span(cfg, k: int) -> int:
     return k * k + k
 
 
+class _Entry(NamedTuple):
+    sender: int
+    tau: int
+    j: int
+
+
+def sync_winner(j, pid, inbox):
+    """The early-sync winner: the first message with the lexicographically
+    largest (j, sender), if that beats the receiver's own (j, pid); else None."""
+    best = None
+    for msg in inbox:
+        if msg.j > j or (msg.j == j and msg.sender > pid):
+            best, j, pid = msg, msg.j, msg.sender
+    return best
+
+
 def early_sync(state: tuple, inbox: list) -> tuple:
     """One adoption decision: state and messages are (id, tau, j) triples.
 
@@ -56,13 +73,9 @@ def early_sync(state: tuple, inbox: list) -> tuple:
     maximum of (j, id) over the inbox; adoption copies both tau and j.
     """
     pid, tau, j = state
-    best = None
-    for mid, mtau, mj in inbox:
-        key = (mj, mid)
-        if best is None or key > best[0]:
-            best = (key, mtau)
-    if best is not None and best[0] > (j, pid):
-        (j, _), tau = best
+    best = sync_winner(j, pid, [_Entry(*e) for e in inbox])
+    if best is not None:
+        tau, j = best.tau, best.j
     return (pid, tau, j)
 
 
@@ -84,26 +97,8 @@ def dynamic_next(k: int, candidate: bool, winner: bool, ell: int, dif: int) -> i
     return (ell - 1) * k * k - dif
 
 
-def _adopt_from(ctx, t, inbox, use_policy_progress):
-    """Apply the early-sync adoption rule over a whole inbox."""
-    if not inbox:
-        return
-    best = None
-    for msg in inbox:
-        key = (msg.j, msg.sender)
-        if best is None or key > best[0]:
-            best = (key, msg)
-    own_progress = ctx.j(t) if use_policy_progress else ctx.tau(t)
-    if best[0] > (own_progress, ctx.id):
-        (j_v, _), msg = best
-        ctx.adopt(t, msg.tau, j_v=j_v if use_policy_progress else None,
-                  q_v=msg.q, q_prime=msg.qp)
-
-
 class _Proto:
     """Do-nothing defaults so each algorithm overrides only what it uses."""
-
-    ADOPTS = True  # pairwise learning turns this off: clocks stay untouched
 
     def __init__(self, ctx, world):
         self.ctx = ctx
@@ -122,7 +117,6 @@ class _Proto:
         return []
 
     def absorb(self, t, inbox):
-        _adopt_from(self.ctx, t, inbox, self.USES_POLICY_PROGRESS)
         return []
 
     def tick_end(self, t):
@@ -131,12 +125,24 @@ class _Proto:
     def audit(self, t):
         pass
 
+    def adopt(self, t, inbox):
+        """Apply the early-sync rule (see early_sync) over a whole inbox."""
+        if not inbox:
+            return
+        ctx = self.ctx
+        msg = sync_winner(self._progress(t), ctx.id, inbox)
+        if msg is not None:
+            ctx.adopt(t, msg.tau, j_v=msg.j if self.USES_POLICY_PROGRESS else None,
+                      q_v=msg.q, q_prime=msg.qp)
+
+    def _progress(self, t):
+        return self.ctx.j(t) if self.USES_POLICY_PROGRESS else self.ctx.tau(t)
+
     def _msg(self, t, kind, payload=()):
         from .engine import Message
 
         ctx = self.ctx
-        progress = ctx.j(t) if self.USES_POLICY_PROGRESS else ctx.tau(t)
-        return Message(kind=kind, sender=ctx.id, tau=ctx.tau(t), j=progress,
+        return Message(kind=kind, sender=ctx.id, tau=ctx.tau(t), j=self._progress(t),
                        payload=tuple(payload), q=ctx.q_frac)
 
 
@@ -173,7 +179,7 @@ class SynchronizeProto(_Proto):
 
     def react(self, t, inbox):
         ctx = self.ctx
-        _adopt_from(ctx, t, inbox, True)
+        self.adopt(t, inbox)
         if t == self.stage2_tick:
             reports = {ctx.id: self.frozen_j}
             for msg in inbox:
@@ -324,7 +330,7 @@ class DynamicProto(_Proto):
 
     def react(self, t, inbox):
         ctx = self.ctx
-        _adopt_from(ctx, t, inbox, False)
+        self.adopt(t, inbox)
         out = []
         r = t - ctx.wake + 1
         if 1 <= r <= self.k:
@@ -353,7 +359,7 @@ class DynamicProto(_Proto):
 
     def react2(self, t, inbox):
         ctx = self.ctx
-        _adopt_from(ctx, t, inbox, False)
+        self.adopt(t, inbox)
         out = []
         r = t - ctx.wake + 1
         if 1 <= r <= self.k:
@@ -368,7 +374,7 @@ class DynamicProto(_Proto):
         return out
 
     def absorb(self, t, inbox):
-        _adopt_from(self.ctx, t, inbox, False)
+        self.adopt(t, inbox)
         r = t - self.ctx.wake + 1
         if 1 <= r <= self.k:
             self._accept_response(t, inbox)
@@ -404,7 +410,7 @@ class NaiveProto(_Proto):
         ctx = self.ctx
         for msg in inbox:
             ctx.edge_contact(t, msg.sender, msg.tau - ctx.tau(t))
-        _adopt_from(ctx, t, inbox, False)
+        self.adopt(t, inbox)
         return []
 
 
@@ -414,7 +420,6 @@ class PairwiseProto(_Proto):
     Clocks are never adjusted."""
 
     USES_POLICY_PROGRESS = False
-    ADOPTS = False
 
     def on_wake(self, t):
         k = self.ctx.k
@@ -428,6 +433,9 @@ class PairwiseProto(_Proto):
         for msg in inbox:
             ctx.edge_contact(t, msg.sender, msg.tau - ctx.tau(t))
         return []
+
+    def adopt(self, t, inbox):
+        pass
 
 
 _PROTOS = {

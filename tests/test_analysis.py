@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -223,6 +225,21 @@ def test_synchronize_final_window_continuous_small_parameter():
 def test_flatten_checker_small_exhaustive(sync_exhaustive):
     for key, tr in sync_exhaustive[:500]:
         assert analysis.check_flatten(tr).passed, key
+
+
+def test_check_flatten_sees_mutated_policies():
+    tr = run(SimConfig(n=64, m=8, wake_times="seeded-random", algorithm="synchronize"))
+    before = analysis.check_flatten(tr)
+    # a degenerate group adds one detail line, a pristine one none
+    assert len(before.details) < len({r.tick for r in tr.stage2})
+    # an outsider shadowing every phase policy joins every cluster, so no
+    # group can stay pristine
+    for r in [r for r in tr.policies if r.kind == "basic"]:
+        tr.policies.append(dataclasses.replace(r, owner=tr.m + 1))
+    again = analysis.check_flatten(tr)
+    fresh = analysis.check_flatten(copy.deepcopy(tr))
+    assert (again.passed, again.details) == (fresh.passed, fresh.details)
+    assert len(fresh.details) > len(before.details)
 
 
 def test_dynamic_checker_examples():

@@ -98,6 +98,18 @@ def test_fractional_run(tmp_path, capsys):
     assert len(set(report["timeline_anchors"].values())) == 1
 
 
+def test_fractional_trace_rejected_before_writing(tmp_path, capsys):
+    wakes = tmp_path / "wakes.txt"
+    wakes.write_text("0\n5/2\n4\n")
+    out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+    code, _, err = run_cli(["run", "--n", "8", "--m", "3", "--fractional",
+                            "--wake", f"explicit:{wakes}", "--out", str(out),
+                            "--trace", str(trace)], capsys)
+    assert code == 2
+    assert "integer-mode only" in err
+    assert not out.exists() and not trace.exists()
+
+
 def test_trace_csv(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, _, _ = run_cli(["run", "--n", "8", "--m", "2", "--algorithm", "naive",

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from radiosync import fractional
 from radiosync.core import ConfigError, SimConfig
-from radiosync.engine import run
+from radiosync.engine import World, run
 from radiosync.fractional import (
     adopt_fractional,
     anchors,
@@ -68,6 +69,26 @@ def test_dynamic_not_supported_in_fractional_mode():
                     algorithm="dynamic-synch", fractional=True)
     with pytest.raises(ConfigError):
         run_fractional(cfg)
+
+
+def test_integer_engine_rejects_fractional_configs():
+    cfg = SimConfig(n=8, m=2, wake_times=[Fraction(0), Fraction(5, 2)],
+                    algorithm="naive", fractional=True)
+    for engine in (run, World):
+        with pytest.raises(ConfigError, match="run_fractional"):
+            engine(cfg)
+    assert run_fractional(cfg).sync_complete_tick is not None
+
+
+def test_fractional_runners_reject_integer_configs():
+    # every run* entry point of the fractional module ends in ConfigError
+    cfg = SimConfig(n=8, m=2, wake_times=[0, 3], algorithm="naive")
+    runners = [getattr(fractional, name) for name in dir(fractional)
+               if name.startswith("run")]
+    assert runners
+    for runner in runners:
+        with pytest.raises(ConfigError):
+            runner(cfg)
 
 
 def test_integral_offsets_project_onto_integer_engine():
