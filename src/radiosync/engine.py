@@ -34,7 +34,7 @@ HALF = Fraction(1, 2)
 def adopt_fractional(tau_v, q_v, qp):
     """Clock adoption with carry: returns the normalized (tau, q) pair."""
     tau = tau_v
-    q = Fraction(q_v) + Fraction(qp)
+    q = q_v + qp
     if q > HALF:
         tau += 1
         q -= 1

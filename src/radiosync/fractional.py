@@ -69,7 +69,6 @@ class FracWorld(World):
         # exchange, 2 slot close; the order breaks same-instant ties
         self._events = [(w, 0, pid) for pid, w in enumerate(self.cfg.wake_times, start=1)]
         heapq.heapify(self._events)
-        self._queued_instants: set = set()
         self._slot_inbox: dict[int, list] = {}
         self._slot_start: dict[int, Fraction] = {}
 
@@ -82,10 +81,9 @@ class FracWorld(World):
                 " queue protocol's sub-unit hand-off timing is not defined")
 
     def _mark_on(self, g, owner):
-        super()._mark_on(g, owner)
-        if g not in self._queued_instants:
-            self._queued_instants.add(g)
+        if g not in self._on_map:  # first on-slot at this instant
             heapq.heappush(self._events, (g, 1, 0))
+        super()._mark_on(g, owner)
 
     # event loop --------------------------------------------------------------
     def run(self) -> SimTrace:
