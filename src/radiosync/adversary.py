@@ -128,7 +128,11 @@ def build_topology(spec, m: int | None = None) -> Topology:
     if spec == "two-clique":
         return two_clique(m)
     if spec.startswith("l-connected:"):
-        return l_connected(m, int(spec.split(":", 1)[1]))
+        try:
+            ell = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"malformed topology spec {spec!r}: L must be an integer") from None
+        return l_connected(m, ell)
     if spec == "unit-disk":
         return unit_disk_two_clique(m)[2]
     raise ConfigError(f"unknown topology spec {spec!r}")

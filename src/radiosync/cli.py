@@ -30,6 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate one configuration")
     _common_flags(run_p)
+    run_p.add_argument("--fractional", action="store_true",
+                       help="sub-unit wake offsets; explicit wakes may be rationals like 7/2")
     run_p.add_argument("--check", default="",
                        help=f"comma-separated checks from {','.join(CHECKS)}")
     run_p.add_argument("--trace", metavar="FILE",
@@ -60,8 +62,14 @@ def _common_flags(p, lists=False):
                    help="complete | two-clique | l-connected:L | unit-disk | edges:FILE")
     p.add_argument("--k", type=int, default=None, help="override the schedule parameter")
     p.add_argument("--max-ticks", type=int, default=None, help="simulation horizon override")
-    p.add_argument("--fractional", action="store_true",
-                   help="sub-unit wake offsets; explicit wakes may be rationals like 7/2")
+
+
+def _number(text, what, parse=int):
+    """parse(text), or a ConfigError naming the malformed input."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"malformed {what} {text!r}") from None
 
 
 _WAKE_ALIASES = {
@@ -78,9 +86,8 @@ def _parse_wakes(spec: str, fractional: bool):
         path = spec.split(":", 1)[1]
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-        if fractional:
-            return [Fraction(ln) for ln in lines]
-        return [int(ln) for ln in lines]
+        parse = Fraction if fractional else int
+        return [_number(ln, f"wake time in {path}", parse) for ln in lines]
     raise ConfigError(f"unknown wake spec {spec!r}")
 
 
@@ -93,7 +100,10 @@ def _parse_topology(spec: str, m: int):
                 ln = ln.strip()
                 if not ln:
                     continue
-                u, v = (int(x) for x in ln.split())
+                try:
+                    u, v = (int(x) for x in ln.split())
+                except ValueError:
+                    raise ConfigError(f"malformed edge line {ln!r} in {path}") from None
                 edges.add((min(u, v), max(u, v)))
         from .core import Topology
 
@@ -213,8 +223,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ns = [int(x) for x in args.n.split(",") if x]
-    ms = [int(x) for x in args.m.split(",") if x]
+    ns = [_number(x, "--n entry") for x in args.n.split(",") if x]
+    ms = [_number(x, "--m entry") for x in args.m.split(",") if x]
     if not ns or not ms:
         raise ConfigError("sweep needs at least one n and one m")
     algorithm = "dynamic-synch" if args.algorithm == "dynamic" else args.algorithm
@@ -223,7 +233,8 @@ def cmd_sweep(args) -> int:
         for m in ms:
             cfg = SimConfig(n=n, m=m, wake_times=_parse_wakes(args.wake, False),
                             topology=_parse_topology(args.topology, m),
-                            algorithm=algorithm, k_override=args.k, seed=args.seed)
+                            algorithm=algorithm, k_override=args.k,
+                            max_ticks=args.max_ticks, seed=args.seed)
             trace = run(cfg)
             rep = energy(trace)
             rows.append({

@@ -124,9 +124,10 @@ def generate_wakes(kind: str, n: int, m: int, seed: int) -> list[int]:
 
 def _as_wake(value, fractional: bool):
     if fractional:
-        if isinstance(value, str):
+        try:
             return Fraction(value)
-        return Fraction(value)
+        except (ValueError, ZeroDivisionError, TypeError):
+            raise ConfigError(f"wake time {value!r} is not a rational number") from None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"wake time {value!r} is not an integer (use fractional mode for rationals)")
     return value

@@ -1,9 +1,13 @@
 """Deterministic global-tick simulation engine.
 
-One tick is one communication round.  Within a tick, delivery runs in four
-sub-phases so that request/response exchanges happen inside a single tick
-(matching the round structure of the protocol handlers) while staying fully
-deterministic:
+Nothing happens while every radio is off, so the engine does not visit
+ticks one by one: its event loop pops instants from a heap of wakes,
+radio-on instants and the 2n audit, in that order within an instant.
+
+One tick is one communication round.  Within a radio-on tick, delivery
+runs in four sub-phases so that request/response exchanges happen inside
+a single tick (matching the round structure of the protocol handlers)
+while staying fully deterministic:
 
   A  every radio-on processor emits its state-determined messages
      (clock beacon, discovery/initial, queue hand-off, flatten report);
@@ -19,6 +23,7 @@ policies; a tick counts once for energy however many policies cover it.
 """
 
 import hashlib
+import heapq
 import json
 import math
 from collections import Counter, defaultdict
@@ -27,6 +32,7 @@ from fractions import Fraction
 
 from .core import ConfigError, SimConfig, default_horizon, validate_config
 from . import protocols
+from .protocols import Message, Stage2Record  # noqa: F401  (re-exported)
 
 HALF = Fraction(1, 2)
 
@@ -47,23 +53,6 @@ def adopt_fractional(tau_v, q_v, qp):
 def last_slot(wake, horizon):
     """Start of a processor's last slot at or before the horizon."""
     return wake + math.floor(horizon - wake)
-
-
-@dataclass
-class Message:
-    """A delivered message.  Every message piggybacks the sender's (tau, j).
-
-    q is the sender's sub-unit clock offset and qp the receiver-specific
-    slot-start difference; both stay zero on the integer engine.
-    """
-
-    kind: str  # sync | init | resp | pass | report
-    sender: int
-    tau: int
-    j: int
-    payload: tuple = ()
-    q: Fraction = Fraction(0)
-    qp: Fraction = Fraction(0)
 
 
 @dataclass
@@ -114,36 +103,6 @@ class PolicyRecord:
             "effective_from": str(self.effective_from),
             "phase": self.phase,
             "meta": {k: str(v) for k, v in sorted(self.meta.items())},
-        }
-
-
-@dataclass
-class Stage2Record:
-    owner: int
-    tick: int
-    frozen_j: int
-    member_ids: tuple
-    len_c: int
-    ell: int
-    mu: int
-    next_local: int
-    next_global: int
-    phase: int
-    clamped: bool
-
-    def to_json(self):
-        return {
-            "owner": self.owner,
-            "tick": str(self.tick),
-            "frozen_j": str(self.frozen_j),
-            "member_ids": list(self.member_ids),
-            "len_c": str(self.len_c),
-            "ell": self.ell,
-            "mu": self.mu,
-            "next_local": str(self.next_local),
-            "next_global": str(self.next_global),
-            "phase": self.phase,
-            "clamped": self.clamped,
         }
 
 
@@ -313,11 +272,12 @@ class _ProcCtx:
 
 
 class World:
-    """Mutable simulation state; `step` advances exactly one global tick.
+    """Mutable simulation state and the event loop that drives it.
 
-    The set-up, policy scheduling, clock bookkeeping and final accounting
-    here are shared with the fractional engine (fractional.FracWorld), which
-    drives the same state from an event queue instead of `step`.
+    The event heap holds (instant, kind, owner) tuples; the kind breaks
+    same-instant ties: 0 wake, 1 radio-on instant, 2 slot close (pushed only
+    by the fractional engine, fractional.FracWorld), 3 the 2n audit.  The
+    fractional engine shares all of this and overrides only `_on_instant`.
     """
 
     def __init__(self, cfg: SimConfig, record_messages: bool | None = None):
@@ -345,9 +305,9 @@ class World:
         self.trace.energy_counts = {i: 0 for i in range(1, self.m + 1)}
 
         self._on_map: dict = defaultdict(set)
-        self._wake_at: dict = defaultdict(list)
-        for pid, w in enumerate(cfg.wake_times, start=1):
-            self._wake_at[w].append(pid)
+        self._events = [(w, 0, pid) for pid, w in enumerate(cfg.wake_times, start=1)]
+        self._events.append((2 * self.n, 3, 0))
+        heapq.heapify(self._events)
 
         self.ctxs = {i: _ProcCtx(self, i) for i in range(1, self.m + 1)}
         self.procs = {i: protocols.make_protocol(cfg.algorithm, self.ctxs[i], self)
@@ -380,11 +340,10 @@ class World:
         self.trace.policies.append(rec)
         for g in rec.active_on_ticks():
             if g < self.horizon + 1:
-                self._mark_on(g, owner)
+                if g not in self._on_map:  # first radio-on slot at g
+                    heapq.heappush(self._events, (g, 1, 0))
+                self._on_map[g].add(owner)
         return rec
-
-    def _mark_on(self, g, owner):
-        self._on_map[g].add(owner)
 
     # -- clock bookkeeping ---------------------------------------------------
     def _clock_change(self, pid, old_delta, new_delta):
@@ -406,7 +365,6 @@ class World:
         ctx = self.ctxs[pid]
         ctx.wake = t
         self._awake.add(pid)
-        self.tick = t
         self._in_wake_hook = True
         ctx.adopt(t, 0)  # clocks start at zero on wake
         self.procs[pid].on_wake(t)
@@ -421,36 +379,49 @@ class World:
                     last_slot(ctx.wake, self.horizon) + ctx._delta, ctx.q_frac)
         return self.trace
 
-    # -- tick loop -----------------------------------------------------------
+    # -- event loop ----------------------------------------------------------
+    def run(self):
+        self._handle_events_before(self.horizon + 1)
+        return self._finish()
+
     def step(self):
-        """Advance one tick: wake, compute radio-on set, exchange, account."""
-        t = self.tick
-        wakers = self._wake_at.get(t, ())
-        if wakers or t in self._on_map:
-            self._settle(t)
-        for pid in wakers:
-            self._wake(t, pid)
+        """Advance one tick: handle every event queued before the next one."""
+        nxt = self.tick + 1
+        self._handle_events_before(nxt)
+        self.tick = nxt
 
-        on = self._on_map.get(t)
-        if on:
-            on_sorted = sorted(on)
-            self.trace.on_sets[t] = tuple(on_sorted)
-            for pid in on_sorted:
-                self.trace.energy_counts[pid] += 1
+    def _handle_events_before(self, end):
+        """Pop and handle, in heap order, every queued event before `end`."""
+        events = self._events
+        while events and events[0][0] < end:
+            instant, kind, owner = heapq.heappop(events)
+            self._settle(math.floor(instant))
+            self.tick = instant
+            if kind == 0:
+                self._wake(instant, owner)
+            elif kind == 1:
+                self._on_instant(instant)
+            elif kind == 2:
+                self._slot_close(instant, owner)
+            else:
+                for pid in sorted(self._awake):
+                    self.procs[pid].audit(instant)
 
-            inbox = self._exchange(t, on_sorted, "transmissions", None)
-            inbox = self._exchange(t, on_sorted, "react", inbox)
-            inbox = self._exchange(t, on_sorted, "react2", inbox)
-            leftover = self._exchange(t, on_sorted, "absorb", inbox)
-            if any(leftover.values()):
-                raise RuntimeError("absorb phase must not emit messages")
-            for pid in on_sorted:
-                self.procs[pid].tick_end(t)
+    def _on_instant(self, t):
+        """Radio-on tick: account energy, exchange, end the tick."""
+        on_sorted = sorted(self._on_map[t])
+        self.trace.on_sets[t] = tuple(on_sorted)
+        for pid in on_sorted:
+            self.trace.energy_counts[pid] += 1
 
-        if t == 2 * self.n:
-            for pid in sorted(self._awake):
-                self.procs[pid].audit(t)
-        self.tick += 1
+        inbox = self._exchange(t, on_sorted, "transmissions", None)
+        inbox = self._exchange(t, on_sorted, "react", inbox)
+        inbox = self._exchange(t, on_sorted, "react2", inbox)
+        leftover = self._exchange(t, on_sorted, "absorb", inbox)
+        if any(leftover.values()):
+            raise RuntimeError("absorb phase must not emit messages")
+        for pid in on_sorted:
+            self.procs[pid].tick_end(t)
 
     def _exchange(self, t, on_sorted, phase_name, inbox):
         """Run one sub-phase; returns the inbox produced for the next one."""
@@ -469,11 +440,6 @@ class World:
         for pid in produced:
             produced[pid].sort(key=lambda msg: (msg.sender, msg.kind, msg.payload))
         return produced
-
-    def run(self):
-        while self.tick <= self.horizon:
-            self.step()
-        return self._finish()
 
 
 def _cfg_echo(cfg, k, horizon):

@@ -51,12 +51,13 @@ def timeline_anchor(wake, slot_index, tau, q) -> Fraction:
 
 
 class FracWorld(World):
-    """Event-driven engine over rational slot grids.
+    """The integer engine's event loop over rational slot grids.
 
-    It drives the integer engine's state (set-up, scheduling, clock and
-    synchronization bookkeeping) from an event queue.  Events are processed
-    in ascending instant order: wakes, then slot-start exchanges, then slot
-    closes half a unit later (where completion sampling and reschedule
+    It shares the integer engine's state and event loop (set-up, scheduling,
+    clock and synchronization bookkeeping) and replaces only the handling
+    of a radio-on instant.  Within an instant, wakes come first, then
+    slot-start exchanges (`_on_instant`), then slot closes half a unit after
+    a start (`_slot_close`, where completion sampling and reschedule
     computations run, after every message that can still reach the slot
     has arrived).  Protocol handlers are the same classes the integer
     engine drives; they see their own grid instants as "global ticks"
@@ -65,10 +66,6 @@ class FracWorld(World):
 
     def __init__(self, cfg):
         super().__init__(cfg, record_messages=False)
-        # event heap of (instant, kind, owner): kind 0 wake, 1 slot-start
-        # exchange, 2 slot close; the order breaks same-instant ties
-        self._events = [(w, 0, pid) for pid, w in enumerate(self.cfg.wake_times, start=1)]
-        heapq.heapify(self._events)
         self._slot_inbox: dict[int, list] = {}
         self._slot_start: dict[int, Fraction] = {}
 
@@ -80,26 +77,7 @@ class FracWorld(World):
                 "fractional mode supports synchronize, naive and pairwise; the"
                 " queue protocol's sub-unit hand-off timing is not defined")
 
-    def _mark_on(self, g, owner):
-        if g not in self._on_map:  # first on-slot at this instant
-            heapq.heappush(self._events, (g, 1, 0))
-        super()._mark_on(g, owner)
-
-    # event loop --------------------------------------------------------------
-    def run(self) -> SimTrace:
-        while self._events:
-            instant, kind, pid = heapq.heappop(self._events)
-            if instant >= self.horizon + 1:
-                break
-            self._settle(math.floor(instant))
-            if kind == 0:
-                self._wake(instant, pid)
-            elif kind == 1:
-                self._slot_starts(instant)
-            else:
-                self._slot_close(instant, pid)
-        return self._finish()
-
+    # event handlers ----------------------------------------------------------
     def _current_on_slot(self, pid, instant):
         """Start of pid's radio-on slot overlapping `instant` by >= 1/2."""
         ctx = self.ctxs[pid]
@@ -113,20 +91,15 @@ class FracWorld(World):
             return s
         return None
 
-    def _slot_starts(self, instant):
-        starters = sorted(self._on_map.get(instant, ()))
-        if not starters:
-            return
+    def _on_instant(self, instant):
+        """Slot starts: account energy and exchange with overlapping slots."""
+        starters = sorted(self._on_map[instant])
         for pid in starters:
             self.trace.energy_counts[pid] += 1
             self._slot_start[pid] = instant
             self._slot_inbox[pid] = []
             heapq.heappush(self._events, (instant + HALF, 2, pid))
-        if instant in self.trace.on_sets:
-            self.trace.on_sets[instant] = tuple(
-                sorted(set(self.trace.on_sets[instant]) | set(starters)))
-        else:
-            self.trace.on_sets[instant] = tuple(starters)
+        self.trace.on_sets[instant] = tuple(starters)
 
         pairs = []
         for pid in starters:
@@ -149,15 +122,13 @@ class FracWorld(World):
         for pid in sorted(deliveries):
             msgs = sorted(deliveries[pid],
                           key=lambda m: (m.sender, m.kind, m.payload))
-            self._slot_inbox.setdefault(pid, []).extend(msgs)
-            self.tick = self._slot_start.get(pid, instant)
+            self._slot_inbox[pid].extend(msgs)
+            self.tick = self._slot_start[pid]
             self.procs[pid].adopt(self.tick, msgs)
 
     def _slot_close(self, instant, pid):
         s = instant - HALF
-        if self._slot_start.get(pid) != s:
-            return
-        inbox = self._slot_inbox.pop(pid, [])
+        inbox = self._slot_inbox.pop(pid)
         del self._slot_start[pid]
         self.tick = s
         proto = self.procs[pid]

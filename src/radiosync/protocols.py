@@ -19,6 +19,8 @@ the clock itself; messages carry the clock in the progress field.
 """
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .core import ceil_log2, compute_k
@@ -48,6 +50,53 @@ def base_policy_span(cfg, k: int) -> int:
     if cfg.algorithm == "naive":
         return cfg.n + 1
     return k * k + k
+
+
+@dataclass
+class Message:
+    """A delivered message.  Every message piggybacks the sender's (tau, j).
+
+    q is the sender's sub-unit clock offset and qp the receiver-specific
+    slot-start difference; both stay zero on the integer engine.
+    """
+
+    kind: str  # sync | init | resp | pass | report
+    sender: int
+    tau: int
+    j: int
+    payload: tuple = ()
+    q: Fraction = Fraction(0)
+    qp: Fraction = Fraction(0)
+
+
+@dataclass
+class Stage2Record:
+    owner: int
+    tick: int
+    frozen_j: int
+    member_ids: tuple
+    len_c: int
+    ell: int
+    mu: int
+    next_local: int
+    next_global: int
+    phase: int
+    clamped: bool
+
+    def to_json(self):
+        return {
+            "owner": self.owner,
+            "tick": str(self.tick),
+            "frozen_j": str(self.frozen_j),
+            "member_ids": list(self.member_ids),
+            "len_c": str(self.len_c),
+            "ell": self.ell,
+            "mu": self.mu,
+            "next_local": str(self.next_local),
+            "next_global": str(self.next_global),
+            "phase": self.phase,
+            "clamped": self.clamped,
+        }
 
 
 class _Entry(NamedTuple):
@@ -139,8 +188,6 @@ class _Proto:
         return self.ctx.j(t) if self.USES_POLICY_PROGRESS else self.ctx.tau(t)
 
     def _msg(self, t, kind, payload=()):
-        from .engine import Message
-
         ctx = self.ctx
         return Message(kind=kind, sender=ctx.id, tau=ctx.tau(t), j=self._progress(t),
                        payload=tuple(payload), q=ctx.q_frac)
@@ -198,8 +245,6 @@ class SynchronizeProto(_Proto):
 
     def _start_execution(self, t, gstart, next_local, ids, len_c, ell, mu):
         ctx = self.ctx
-        from .engine import Stage2Record
-
         ctx.record_stage2(Stage2Record(
             owner=ctx.id, tick=t, frozen_j=self.frozen_j, member_ids=tuple(ids),
             len_c=len_c, ell=ell, mu=mu, next_local=next_local,

@@ -159,6 +159,44 @@ def test_sweep_naive_energy_exact(tmp_path, capsys):
         assert int(r["max_energy"]) == int(r["n"]) + 1
 
 
+@pytest.mark.parametrize("args, content", [
+    (["run", "--n", "8", "--m", "2", "--wake", "explicit:{file}"], "0\nabc\n"),
+    (["run", "--n", "8", "--m", "2", "--fractional", "--wake", "explicit:{file}"],
+     "0\n1/0\n"),
+    (["run", "--n", "8", "--m", "2", "--algorithm", "naive",
+      "--topology", "edges:{file}"], "1\n"),
+    (["run", "--n", "8", "--m", "16", "--algorithm", "naive",
+      "--topology", "l-connected:abc"], None),
+    (["sweep", "--n", "8,x", "--m", "2", "--out", "{file}"], None),
+], ids=["wake-integer", "wake-rational", "edge-line", "l-connected", "sweep-n"])
+def test_malformed_input_exits_two(tmp_path, capsys, args, content):
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_text(content)
+    code, _, err = run_cli([a.format(file=path) for a in args], capsys)
+    assert code == 2
+    assert "malformed" in err
+
+
+def test_sweep_honours_max_ticks(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(["sweep", "--n", "8", "--m", "2", "--max-ticks", "3",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    row = next(csv.DictReader(out.open()))
+    code, report, _ = run_cli(["run", "--n", "8", "--m", "2", "--max-ticks", "3"], capsys)
+    assert code == 0
+    assert int(row["max_energy"]) == json.loads(report)["energy"]["max_energy"] == 4
+    assert row["sync_tick"] == ""
+
+
+def test_sweep_has_no_fractional_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "8", "--m", "2", "--fractional",
+              "--out", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+
+
 def test_unknown_flag_is_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--n", "4", "--m", "2", "--frobnicate"])

@@ -93,6 +93,12 @@ def test_wake_count_must_match_m():
         validate_config(SimConfig(n=4, m=3, wake_times=[0, 1]))
 
 
+@pytest.mark.parametrize("bad", ["abc", "1/0", None])
+def test_malformed_fractional_wake_rejected(bad):
+    with pytest.raises(ConfigError, match="rational"):
+        validate_config(SimConfig(n=4, m=2, wake_times=["0", bad], fractional=True))
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ConfigError, match="algorithm"):
         validate_config(SimConfig(n=4, m=1, wake_times=[0], algorithm="bogus"))

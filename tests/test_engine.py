@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from radiosync import protocols
 from radiosync.core import SimConfig
 from radiosync.engine import World, energy, run, step
 
@@ -39,6 +40,45 @@ def test_step_advances_one_tick():
     assert w.tick == 0
     step(w)
     assert w.tick == 1
+
+
+@pytest.mark.parametrize("algorithm", ["synchronize", "dynamic-synch", "naive", "pairwise"])
+def test_stepping_matches_run(algorithm):
+    cfg = SimConfig(n=16, m=4, wake_times="seeded-random", seed=5, algorithm=algorithm)
+    world = World(cfg)
+    while world.tick <= world.horizon:
+        step(world)
+    ref = run(cfg)
+    for attr in ("on_sets", "energy_counts", "clock_events", "policies"):
+        assert getattr(world.trace, attr) == getattr(ref, attr), attr
+
+
+def _record_audits(monkeypatch, algorithm):
+    calls = []
+    monkeypatch.setattr(protocols._PROTOS[algorithm], "audit",
+                        lambda self, t: calls.append((self.ctx.id, t)))
+    return calls
+
+
+@pytest.mark.parametrize("algorithm, n, wakes, radio_on_at_2n", [
+    # dynamic-synch's step-5 policy always turns the earliest radio on at
+    # 2n, so the audit on an otherwise empty tick is checked on synchronize
+    ("dynamic-synch", 8, [0, 3, 5], True),
+    ("synchronize", 4, [0, 0], False),
+])
+def test_audit_runs_once_per_processor_at_2n(monkeypatch, algorithm, n, wakes,
+                                             radio_on_at_2n):
+    calls = _record_audits(monkeypatch, algorithm)
+    tr = run(SimConfig(n=n, m=len(wakes), wake_times=wakes, algorithm=algorithm))
+    assert (2 * n in tr.on_sets) == radio_on_at_2n
+    assert calls == [(pid, 2 * n) for pid in range(1, len(wakes) + 1)]
+
+
+def test_no_audit_when_horizon_ends_before_2n(monkeypatch):
+    calls = _record_audits(monkeypatch, "dynamic-synch")
+    run(SimConfig(n=8, m=3, wake_times=[0, 3, 5], algorithm="dynamic-synch",
+                  max_ticks=15))
+    assert calls == []
 
 
 def test_no_delivery_between_non_neighbors():
