@@ -230,7 +230,7 @@ def schedule_family(n: int, c: int) -> dict:
         family["evenly-spaced"] = tuple(bits)
     family["prefix"] = (1,) * c
     k = ceil_sqrt(n)
-    ones = [j for j, b in enumerate(basic_policy(k).bits) if b][:c]
+    ones = basic_policy(k).one_positions[:c]
     bits = [0] * (ones[-1] + 1)
     for p in ones:
         bits[p] = 1

@@ -67,10 +67,11 @@ def _performed(trace):
 
 def _record_length(rec) -> int:
     """Length of the performed part: first to last active on-tick."""
-    ticks = list(rec.active_on_ticks())
-    if not ticks:
+    ones = rec.policy.one_positions
+    first = bisect.bisect_left(ones, rec.effective_from - rec.nominal_start)
+    if first == len(ones):
         return 0
-    return ticks[-1] - ticks[0] + 1
+    return ones[-1] - ones[first] + 1
 
 
 def discontinuity_points(trace, lo=None, hi=None) -> set:
@@ -144,7 +145,7 @@ def interval_stats(trace, lo: int, hi: int) -> IntervalStats:
     touched = 0
     for _i, a, b in _performed(trace):
         rec = trace.policies[_i]
-        ma = max(rec.active_start, rec.nominal_start + rec.initial_len)
+        ma = max(rec.active_start, rec.nominal_start + rec.policy.initial_len)
         mb = rec.span_end
         if ma > mb:
             continue

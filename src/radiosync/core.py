@@ -124,6 +124,9 @@ def generate_wakes(kind: str, n: int, m: int, seed: int) -> list[int]:
 
 def _as_wake(value, fractional: bool):
     if fractional:
+        if isinstance(value, (bool, float)):
+            raise ConfigError(f"wake time {value!r} is not an exact rational number"
+                              " (give an int, a Fraction or a string such as '1/3')")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, TypeError):

@@ -28,26 +28,11 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import ConfigError, SimConfig, default_horizon, validate_config
 from . import protocols
+from .policy import PolicyString
 from .protocols import Message, Stage2Record  # noqa: F401  (re-exported)
-
-HALF = Fraction(1, 2)
-
-
-def adopt_fractional(tau_v, q_v, qp):
-    """Clock adoption with carry: returns the normalized (tau, q) pair."""
-    tau = tau_v
-    q = q_v + qp
-    if q > HALF:
-        tau += 1
-        q -= 1
-    elif q < -HALF:
-        tau -= 1
-        q += 1
-    return tau, q
 
 
 def last_slot(wake, horizon):
@@ -66,8 +51,7 @@ class PolicyRecord:
 
     owner: int
     kind: str  # basic | stage2 | naive | pairwise | dyn-initial | dyn-block | dyn-step5
-    bits: tuple
-    initial_len: int
+    policy: PolicyString
     nominal_start: int
     effective_from: int
     phase: int | None = None
@@ -75,7 +59,7 @@ class PolicyRecord:
 
     @property
     def span_end(self):
-        return self.nominal_start + len(self.bits) - 1
+        return self.nominal_start + len(self.policy) - 1
 
     @property
     def active_start(self):
@@ -87,18 +71,17 @@ class PolicyRecord:
 
     def active_on_ticks(self):
         lo = self.effective_from
-        for pos, b in enumerate(self.bits):
-            if b:
-                g = self.nominal_start + pos
-                if g >= lo:
-                    yield g
+        for pos in self.policy.one_positions:
+            g = self.nominal_start + pos
+            if g >= lo:
+                yield g
 
     def to_json(self):
         return {
             "owner": self.owner,
             "kind": self.kind,
-            "bits": "".join(str(b) for b in self.bits),
-            "initial_len": self.initial_len,
+            "bits": self.policy.as_string(),
+            "initial_len": self.policy.initial_len,
             "nominal_start": str(self.nominal_start),
             "effective_from": str(self.effective_from),
             "phase": self.phase,
@@ -173,10 +156,6 @@ class SimTrace:
         blob = json.dumps(self.deterministic_view(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def tau_series(self, owner: int) -> list:
-        """(tick, tau) step function for one processor, from clock events."""
-        return [(t, tau) for t, o, tau, _q in self.clock_events if o == owner]
-
     def tau_at(self, owner: int, tick) -> int | None:
         """Displayed clock of `owner` at `tick` (None before wake)."""
         best = None
@@ -186,89 +165,6 @@ class SimTrace:
         if best is None:
             return None
         return best[1] + (tick - best[0])
-
-
-class _ProcCtx:
-    """Per-processor view handed to a protocol handler."""
-
-    def __init__(self, world, pid):
-        self.world = world
-        self.id = pid
-        self.wake = None
-        self._delta = None  # tau(t) = t + delta
-        self._jsteps = []  # [(effective_tick, jdelta)], ascending
-        self.q_frac = Fraction(0)
-
-    # clock / counter reads ------------------------------------------------
-    def tau(self, t):
-        return t + self._delta
-
-    def j(self, t):
-        jd = None
-        for eff, val in self._jsteps:
-            if eff <= t:
-                jd = val
-            else:
-                break
-        if jd is None:
-            return self.tau(t)
-        return t + jd
-
-    # state changes ---------------------------------------------------------
-    def adopt(self, t, tau_v, j_v=None, q_v=None, q_prime=None):
-        """Set the clock (and optionally the progress counter) from a peer."""
-        old = self._delta
-        old_q = self.q_frac
-        old_key = None if old is None else old + old_q
-        if q_v is not None:
-            tau_v, self.q_frac = adopt_fractional(tau_v, q_v, q_prime)
-        self._delta = tau_v - t
-        if j_v is not None:
-            self._push_jstep(t, j_v - t)
-        if self._delta != old or self.q_frac != old_q:
-            self.world._clock_change(self.id, old_key, self._delta + self.q_frac)
-            self.world.trace.clock_events.append((t, self.id, self.tau(t), self.q_frac))
-
-    def _push_jstep(self, eff, val):
-        while self._jsteps and self._jsteps[-1][0] >= eff:
-            self._jsteps.pop()
-        self._jsteps.append((eff, val))
-
-    def set_j_anchor(self, effective_tick, nominal_start):
-        """J counts ticks since nominal_start, from effective_tick onwards."""
-        self._push_jstep(effective_tick, -nominal_start)
-
-    # scheduling -------------------------------------------------------------
-    def schedule(self, kind, bits, initial_len, nominal_start, phase=None, meta=None):
-        return self.world._schedule(self.id, kind, bits, initial_len,
-                                    nominal_start, phase, meta or {})
-
-    # trace hooks ------------------------------------------------------------
-    def record_stage2(self, rec):
-        self.world.trace.stage2.append(rec)
-
-    def dyn_event(self, t, kind, payload=()):
-        self.world.trace.dyn_events.append((t, kind, self.id, tuple(payload)))
-
-    def flag(self, text):
-        self.world.trace.flags.append(text)
-
-    def edge_contact(self, t, other, diff):
-        key = (min(self.id, other), max(self.id, other))
-        if key not in self.world.trace.edge_contacts:
-            self.world.trace.edge_contacts[key] = (t, diff)
-
-    @property
-    def n(self):
-        return self.world.n
-
-    @property
-    def m(self):
-        return self.world.m
-
-    @property
-    def k(self):
-        return self.world.k
 
 
 class World:
@@ -309,8 +205,7 @@ class World:
         self._events.append((2 * self.n, 3, 0))
         heapq.heapify(self._events)
 
-        self.ctxs = {i: _ProcCtx(self, i) for i in range(1, self.m + 1)}
-        self.procs = {i: protocols.make_protocol(cfg.algorithm, self.ctxs[i], self)
+        self.procs = {i: protocols.make_protocol(cfg.algorithm, self, i)
                       for i in range(1, self.m + 1)}
         self._awake: set[int] = set()
         self._in_wake_hook = False
@@ -330,13 +225,13 @@ class World:
                               " the integer engine needs integer wake times")
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, owner, kind, bits, initial_len, nominal_start, phase, meta):
-        if not bits or bits[-1] != 1:
+    def _schedule(self, owner, kind, policy, nominal_start, phase, meta):
+        if not policy.bits or policy.bits[-1] != 1:
             raise ValueError("policy strings must end with an on-tick")
         effective = self.tick if self._in_wake_hook else self.tick + 1
-        rec = PolicyRecord(owner=owner, kind=kind, bits=tuple(bits),
-                           initial_len=initial_len, nominal_start=nominal_start,
-                           effective_from=effective, phase=phase, meta=meta)
+        rec = PolicyRecord(owner=owner, kind=kind, policy=policy,
+                           nominal_start=nominal_start, effective_from=effective,
+                           phase=phase, meta=meta)
         self.trace.policies.append(rec)
         for g in rec.active_on_ticks():
             if g < self.horizon + 1:
@@ -362,21 +257,21 @@ class World:
             self._settled = t
 
     def _wake(self, t, pid):
-        ctx = self.ctxs[pid]
-        ctx.wake = t
+        proto = self.procs[pid]
+        proto.wake = t
         self._awake.add(pid)
         self._in_wake_hook = True
-        ctx.adopt(t, 0)  # clocks start at zero on wake
-        self.procs[pid].on_wake(t)
+        proto.set_clock(t, 0)  # clocks start at zero on wake
+        proto.on_wake(t)
         self._in_wake_hook = False
 
     def _finish(self):
         self._settle(self.horizon + 1)
         self.trace.sync_complete_tick = None if self._unequal else self._last_unequal + 1
-        for pid, ctx in self.ctxs.items():
-            if ctx._delta is not None:
+        for pid, proto in self.procs.items():
+            if proto._delta is not None:
                 self.trace.final_clocks[pid] = (
-                    last_slot(ctx.wake, self.horizon) + ctx._delta, ctx.q_frac)
+                    last_slot(proto.wake, self.horizon) + proto._delta, proto.q_frac)
         return self.trace
 
     # -- event loop ----------------------------------------------------------

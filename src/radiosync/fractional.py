@@ -23,8 +23,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .core import ConfigError
-from .engine import HALF, SimTrace, World, last_slot
-from .engine import adopt_fractional  # noqa: F401  (this mode's carry rule)
+from .engine import SimTrace, World, last_slot
+from .protocols import HALF
+from .protocols import adopt_fractional  # noqa: F401  (this mode's carry rule)
 
 
 def overlap_fraction(u_on, v_on):
@@ -80,13 +81,13 @@ class FracWorld(World):
     # event handlers ----------------------------------------------------------
     def _current_on_slot(self, pid, instant):
         """Start of pid's radio-on slot overlapping `instant` by >= 1/2."""
-        ctx = self.ctxs[pid]
-        if ctx.wake is None:
+        wake = self.procs[pid].wake
+        if wake is None:
             return None
-        j = math.floor(instant - ctx.wake)
+        j = math.floor(instant - wake)
         if j < 0:
             return None
-        s = ctx.wake + j
+        s = wake + j
         if s in self._on_map and pid in self._on_map[s] and instant - s <= HALF:
             return s
         return None

@@ -6,6 +6,7 @@ what makes the cluster/continuity analysis well defined.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -15,11 +16,11 @@ class PolicyString:
     bits[j] == 1 means the radio is on j ticks after the start.  The string
     is split into an initial part (the first `initial_len` positions) and a
     main part (the rest); the split drives the covering-weight bookkeeping.
+    The on positions and the bit string are computed once per object.
     """
 
     bits: tuple[int, ...]
     initial_len: int
-    start: int = 0  # local tick at which bits[0] applies; 0 unless scheduled
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
@@ -30,7 +31,7 @@ class PolicyString:
     def __len__(self) -> int:
         return len(self.bits)
 
-    @property
+    @cached_property
     def one_positions(self) -> tuple[int, ...]:
         return tuple(j for j, b in enumerate(self.bits) if b)
 
@@ -38,13 +39,16 @@ class PolicyString:
     def mask(self) -> int:
         """Bit j of the mask set iff bits[j] == 1 (fast overlap tests)."""
         m = 0
-        for j, b in enumerate(self.bits):
-            if b:
-                m |= 1 << j
+        for j in self.one_positions:
+            m |= 1 << j
         return m
 
-    def as_string(self) -> str:
+    @cached_property
+    def _string(self) -> str:
         return "".join(str(b) for b in self.bits)
+
+    def as_string(self) -> str:
+        return self._string
 
 
 def basic_policy(k: int) -> PolicyString:

@@ -1,5 +1,8 @@
 """Per-processor protocol state machines driven by the engine.
 
+Each processor is one object: its clock, its progress counter, its trace
+hooks and its algorithm's handlers.
+
 Four algorithms share the same handler interface (on_wake / transmissions /
 react / react2 / absorb / tick_end / audit):
 
@@ -15,7 +18,9 @@ your own pair.  In the phased algorithm the progress counter is the ticks
 since the current policy started (and is overwritten on adoption, which is
 what lines up the reschedule arithmetic across a merged cluster).  In the
 other algorithms every policy starts at wake, so the counter coincides with
-the clock itself; messages carry the clock in the progress field.
+the clock itself; messages carry the clock in the progress field.  In
+fractional mode the adopted clock carries a sub-unit offset q as well
+(adopt_fractional).
 """
 
 import math
@@ -24,7 +29,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import ceil_log2, compute_k
-from .policy import basic_policy, naive_policy
+from .policy import PolicyString, basic_policy, naive_policy
+
+HALF = Fraction(1, 2)
+# the one-tick policy of a reschedule's report exchange
+STAGE2_POLICY = PolicyString((1,), 1)
 
 
 def ceil_sqrt(n: int) -> int:
@@ -115,6 +124,19 @@ def sync_winner(j, pid, inbox):
     return best
 
 
+def adopt_fractional(tau_v, q_v, qp):
+    """Clock adoption with carry: returns the normalized (tau, q) pair."""
+    tau = tau_v
+    q = q_v + qp
+    if q > HALF:
+        tau += 1
+        q -= 1
+    elif q < -HALF:
+        tau -= 1
+        q += 1
+    return tau, q
+
+
 def early_sync(state: tuple, inbox: list) -> tuple:
     """One adoption decision: state and messages are (id, tau, j) triples.
 
@@ -147,12 +169,76 @@ def dynamic_next(k: int, candidate: bool, winner: bool, ell: int, dif: int) -> i
 
 
 class _Proto:
-    """Do-nothing defaults so each algorithm overrides only what it uses."""
+    """One processor: its clock, its progress counter and its trace hooks,
+    with do-nothing handlers so each algorithm overrides only what it uses."""
 
-    def __init__(self, ctx, world):
-        self.ctx = ctx
+    def __init__(self, world, pid):
         self.world = world
+        self.id = pid
+        self.n, self.k = world.n, world.k
+        self.wake = None
+        self._delta = None  # tau(t) = t + delta
+        self._jsteps = []  # [(effective_tick, jdelta)], ascending
+        self.q_frac = Fraction(0)
 
+    # clock / counter reads ------------------------------------------------
+    def tau(self, t):
+        return t + self._delta
+
+    def j(self, t):
+        jd = None
+        for eff, val in self._jsteps:
+            if eff <= t:
+                jd = val
+            else:
+                break
+        if jd is None:
+            return self.tau(t)
+        return t + jd
+
+    # state changes ---------------------------------------------------------
+    def set_clock(self, t, tau_v, j_v=None, q_v=None, q_prime=None):
+        """Set the clock (and optionally the progress counter): zero at wake,
+        a peer's on adoption."""
+        old = self._delta
+        old_q = self.q_frac
+        old_key = None if old is None else old + old_q
+        if q_v is not None:
+            tau_v, self.q_frac = adopt_fractional(tau_v, q_v, q_prime)
+        self._delta = tau_v - t
+        if j_v is not None:
+            self._push_jstep(t, j_v - t)
+        if self._delta != old or self.q_frac != old_q:
+            self.world._clock_change(self.id, old_key, self._delta + self.q_frac)
+            self.world.trace.clock_events.append((t, self.id, self.tau(t), self.q_frac))
+
+    def _push_jstep(self, eff, val):
+        while self._jsteps and self._jsteps[-1][0] >= eff:
+            self._jsteps.pop()
+        self._jsteps.append((eff, val))
+
+    def set_j_anchor(self, effective_tick, nominal_start):
+        """J counts ticks since nominal_start, from effective_tick onwards."""
+        self._push_jstep(effective_tick, -nominal_start)
+
+    def schedule(self, kind, policy, nominal_start, phase=None, meta=None):
+        """Lay down a PolicyString starting at global tick nominal_start."""
+        return self.world._schedule(self.id, kind, policy, nominal_start,
+                                    phase, meta or {})
+
+    # trace hooks ------------------------------------------------------------
+    def dyn_event(self, t, kind, payload=()):
+        self.world.trace.dyn_events.append((t, kind, self.id, tuple(payload)))
+
+    def flag(self, text):
+        self.world.trace.flags.append(text)
+
+    def edge_contact(self, t, other, diff):
+        key = (min(self.id, other), max(self.id, other))
+        if key not in self.world.trace.edge_contacts:
+            self.world.trace.edge_contacts[key] = (t, diff)
+
+    # handlers ---------------------------------------------------------------
     def on_wake(self, t):
         raise NotImplementedError
 
@@ -178,19 +264,17 @@ class _Proto:
         """Apply the early-sync rule (see early_sync) over a whole inbox."""
         if not inbox:
             return
-        ctx = self.ctx
-        msg = sync_winner(self._progress(t), ctx.id, inbox)
+        msg = sync_winner(self._progress(t), self.id, inbox)
         if msg is not None:
-            ctx.adopt(t, msg.tau, j_v=msg.j if self.USES_POLICY_PROGRESS else None,
-                      q_v=msg.q, q_prime=msg.qp)
+            self.set_clock(t, msg.tau, j_v=msg.j if self.USES_POLICY_PROGRESS else None,
+                           q_v=msg.q, q_prime=msg.qp)
 
     def _progress(self, t):
-        return self.ctx.j(t) if self.USES_POLICY_PROGRESS else self.ctx.tau(t)
+        return self.j(t) if self.USES_POLICY_PROGRESS else self.tau(t)
 
     def _msg(self, t, kind, payload=()):
-        ctx = self.ctx
-        return Message(kind=kind, sender=ctx.id, tau=ctx.tau(t), j=self._progress(t),
-                       payload=tuple(payload), q=ctx.q_frac)
+        return Message(kind=kind, sender=self.id, tau=self.tau(t), j=self._progress(t),
+                       payload=tuple(payload), q=self.q_frac)
 
 
 class SynchronizeProto(_Proto):
@@ -206,17 +290,15 @@ class SynchronizeProto(_Proto):
     USES_POLICY_PROGRESS = True
 
     def on_wake(self, t):
-        ctx = self.ctx
-        self.k = ctx.k
-        self.rounds = ceil_log2(ctx.n)
+        self.basic = basic_policy(self.k)
+        self.rounds = ceil_log2(self.n)
         self.exec_no = 1
         self.done = False
         self.stage2_tick = None
         self.stage2_clamped = False
         self.frozen_j = None
-        ctx.set_j_anchor(t, t)
-        self.cur = ctx.schedule("basic", basic_policy(self.k).bits, self.k,
-                                nominal_start=t, phase=1)
+        self.set_j_anchor(t, t)
+        self.cur = self.schedule("basic", self.basic, nominal_start=t, phase=1)
 
     def transmissions(self, t):
         out = [self._msg(t, "sync")]
@@ -225,36 +307,33 @@ class SynchronizeProto(_Proto):
         return out
 
     def react(self, t, inbox):
-        ctx = self.ctx
         self.adopt(t, inbox)
         if t == self.stage2_tick:
-            reports = {ctx.id: self.frozen_j}
+            reports = {self.id: self.frozen_j}
             for msg in inbox:
                 if msg.kind == "report":
                     reports[msg.sender] = msg.payload[0]
             ids = sorted(reports)
             len_c = max(reports.values())
             ell = len(ids)
-            mu = ids.index(ctx.id)
-            tau_now = ctx.tau(t)
-            nxt = flatten_next(ctx.n, tau_now, max(len_c, 1), ell, mu, self.k)
+            mu = ids.index(self.id)
+            tau_now = self.tau(t)
+            nxt = flatten_next(self.n, tau_now, max(len_c, 1), ell, mu, self.k)
             gstart = t + (nxt - tau_now)
             self.exec_no += 1
             self._start_execution(t, gstart, nxt, ids, len_c, ell, mu)
         return []
 
     def _start_execution(self, t, gstart, next_local, ids, len_c, ell, mu):
-        ctx = self.ctx
-        ctx.record_stage2(Stage2Record(
-            owner=ctx.id, tick=t, frozen_j=self.frozen_j, member_ids=tuple(ids),
+        self.world.trace.stage2.append(Stage2Record(
+            owner=self.id, tick=t, frozen_j=self.frozen_j, member_ids=tuple(ids),
             len_c=len_c, ell=ell, mu=mu, next_local=next_local,
             next_global=gstart, phase=self.exec_no - 1,
             clamped=self.stage2_clamped,
         ))
         self.stage2_tick = None
-        rec = ctx.schedule("basic", basic_policy(self.k).bits, self.k,
-                           nominal_start=gstart, phase=self.exec_no)
-        ctx.set_j_anchor(max(gstart, t + 1), gstart)
+        rec = self.schedule("basic", self.basic, nominal_start=gstart, phase=self.exec_no)
+        self.set_j_anchor(max(gstart, t + 1), gstart)
         self.cur = rec
         if rec.fully_past:
             # never radio-on, so no adoption: J at completion is the span
@@ -263,20 +342,19 @@ class SynchronizeProto(_Proto):
 
     def tick_end(self, t):
         if not self.done and self.cur is not None and t == self.cur.span_end:
-            self.frozen_j = self.ctx.j(t)
+            self.frozen_j = self.j(t)
             self._after_completion(t, self.cur)
 
     def _after_completion(self, t, rec):
-        ctx = self.ctx
         if self.exec_no > self.rounds:
             self.done = True
             self.cur = None
             return
-        natural = rec.span_end + 2 * ctx.n - self.frozen_j
+        natural = rec.span_end + 2 * self.n - self.frozen_j
         self.stage2_tick = max(natural, t + 1)
         self.stage2_clamped = self.stage2_tick != natural or rec.fully_past
-        ctx.schedule("stage2", (1,), 1, nominal_start=self.stage2_tick,
-                     phase=self.exec_no)
+        self.schedule("stage2", STAGE2_POLICY, nominal_start=self.stage2_tick,
+                      phase=self.exec_no)
         self.cur = None
 
 
@@ -298,13 +376,11 @@ class DynamicProto(_Proto):
     USES_POLICY_PROGRESS = False
 
     def on_wake(self, t):
-        ctx = self.ctx
-        self.k = ctx.k
         self.candidate = True
         self.winner = True
         self.led = False
-        self.q = [ctx.id]
-        self.known = {ctx.id}
+        self.q = [self.id]
+        self.known = {self.id}
         self.next_round = None
         self.block = None
         self.block_origin = None
@@ -313,23 +389,21 @@ class DynamicProto(_Proto):
         self.main_ticks = set()
         self.got_pass = False
         k = self.k
-        ctx.schedule("dyn-initial", (1,) * k, k, nominal_start=t)
-        ctx.schedule("dyn-step5", basic_policy(k).bits, k,
-                     nominal_start=t + 2 * ctx.n)
+        self.schedule("dyn-initial", PolicyString((1,) * k, k), nominal_start=t)
+        self.schedule("dyn-step5", basic_policy(k), nominal_start=t + 2 * self.n)
 
     # -- message emission ----------------------------------------------------
     def transmissions(self, t):
-        ctx = self.ctx
         out = [self._msg(t, "sync")]
-        r = t - ctx.wake + 1
+        r = t - self.wake + 1
         if 1 <= r <= self.k:
             out.append(self._msg(t, "init", (r,)))
         if self.pass_tick is not None and t == self.pass_tick:
-            if self.q and self.q[0] == ctx.id:
+            if self.q and self.q[0] == self.id:
                 out.append(self._msg(t, "pass", tuple(self.q[1:])))
             else:
-                ctx.flag(f"pass-without-head p{ctx.id} t{t}")
-                out.append(self._msg(t, "pass", tuple(x for x in self.q if x != ctx.id)))
+                self.flag(f"pass-without-head p{self.id} t{t}")
+                out.append(self._msg(t, "pass", tuple(x for x in self.q if x != self.id)))
         return out
 
     # -- inbox handling -------------------------------------------------------
@@ -338,29 +412,27 @@ class DynamicProto(_Proto):
             if msg.kind == "init" and msg.sender not in self.known:
                 self.known.add(msg.sender)
                 self.q.append(msg.sender)
-                self.ctx.dyn_event(t, "enqueue", (msg.sender, len(self.q)))
-                self.ctx.dyn_event(t, "q", tuple(self.q))
+                self.dyn_event(t, "enqueue", (msg.sender, len(self.q)))
+                self.dyn_event(t, "q", tuple(self.q))
 
     def _accept_response(self, t, inbox):
         if not self.candidate:
             return
-        ctx = self.ctx
-        r = t - ctx.wake + 1
+        r = t - self.wake + 1
         for msg in inbox:
-            if msg.kind == "resp" and msg.payload[0] == ctx.id:
+            if msg.kind == "resp" and msg.payload[0] == self.id:
                 ell, rhat = msg.payload[1], msg.payload[2]
                 self.candidate = False
-                ctx.dyn_event(t, "accept", (msg.sender, ell, rhat))
+                self.dyn_event(t, "accept", (msg.sender, ell, rhat))
                 self._dynamic_flattening(t, ell, rhat - r)
                 return
 
     def _dynamic_flattening(self, t, ell, dif):
         """Schedule the exclusive main-part block (and the pass tick)."""
-        ctx = self.ctx
         k = self.k
         self.next_round = dynamic_next(k, self.candidate and self.winner,
                                        self.winner, ell, dif)
-        origin = ctx.wake + self.next_round - 1
+        origin = self.wake + self.next_round - 1
         self.block_origin = origin
         self.first_main_tick = origin + k
         self.pass_tick = origin + k * k + k
@@ -369,21 +441,20 @@ class DynamicProto(_Proto):
         for j in range(1, k + 1):
             bits[j * k - k] = 1  # offsets 0, k, ..., k^2-k: the k main rounds
         bits[k * k] = 1  # the queue hand-off tick
-        self.block = ctx.schedule(
-            "dyn-block", tuple(bits), 1, nominal_start=self.first_main_tick,
+        self.block = self.schedule(
+            "dyn-block", PolicyString(tuple(bits), 1), nominal_start=self.first_main_tick,
             meta={"origin": origin, "slot": ell})
 
     def react(self, t, inbox):
-        ctx = self.ctx
         self.adopt(t, inbox)
         out = []
-        r = t - ctx.wake + 1
+        r = t - self.wake + 1
         if 1 <= r <= self.k:
             if r == 1:
                 for msg in inbox:
                     if msg.kind == "init":
                         r_u = msg.payload[0]
-                        if r_u > 1 or (r_u == 1 and msg.sender > ctx.id):
+                        if r_u > 1 or (r_u == 1 and msg.sender > self.id):
                             self.winner = False
             self._enqueue_unknown(t, inbox)
         if self.block is not None and t in self.main_ticks:
@@ -393,9 +464,9 @@ class DynamicProto(_Proto):
                     self.q = list(passed[0].payload)
                     self.known.update(self.q)
                     self.got_pass = True
-                    ctx.dyn_event(t, "own", tuple(self.q))
+                    self.dyn_event(t, "own", tuple(self.q))
                 else:
-                    ctx.flag(f"missing-pass p{ctx.id} t{t}")
+                    self.flag(f"missing-pass p{self.id} t{t}")
             self._enqueue_unknown(t, inbox)
             main_r = r  # rounds since wake; responses carry progress r - next
             for pos, dest in enumerate(self.q, start=1):
@@ -403,16 +474,15 @@ class DynamicProto(_Proto):
         return out
 
     def react2(self, t, inbox):
-        ctx = self.ctx
         self.adopt(t, inbox)
         out = []
-        r = t - ctx.wake + 1
+        r = t - self.wake + 1
         if 1 <= r <= self.k:
             self._accept_response(t, inbox)
             if r == self.k and self.candidate and self.winner and not self.led:
                 self.led = True
-                ctx.dyn_event(t, "lead", tuple(self.q))
-                ctx.dyn_event(t, "own", tuple(self.q))
+                self.dyn_event(t, "lead", tuple(self.q))
+                self.dyn_event(t, "own", tuple(self.q))
                 for pos, dest in enumerate(self.q, start=1):
                     out.append(self._msg(t, "resp", (dest, pos, 0)))
                 self._dynamic_flattening(t, 0, 0)
@@ -420,23 +490,22 @@ class DynamicProto(_Proto):
 
     def absorb(self, t, inbox):
         self.adopt(t, inbox)
-        r = t - self.ctx.wake + 1
+        r = t - self.wake + 1
         if 1 <= r <= self.k:
             self._accept_response(t, inbox)
         return []
 
     def tick_end(self, t):
-        ctx = self.ctx
         if self.pass_tick is not None and t == self.pass_tick and self.q:
-            if self.q[0] == ctx.id:
+            if self.q[0] == self.id:
                 self.q.pop(0)
-            ctx.dyn_event(t, "dequeue", (ctx.id,))
-            ctx.dyn_event(t, "q", tuple(self.q))
-            ctx.dyn_event(t, "pass-sent", tuple(self.q))
+            self.dyn_event(t, "dequeue", (self.id,))
+            self.dyn_event(t, "q", tuple(self.q))
+            self.dyn_event(t, "pass-sent", tuple(self.q))
 
     def audit(self, t):
         if self.block is None:
-            self.ctx.flag(f"unscheduled-at-2n p{self.ctx.id}")
+            self.flag(f"unscheduled-at-2n p{self.id}")
 
 
 class NaiveProto(_Proto):
@@ -445,16 +514,14 @@ class NaiveProto(_Proto):
     USES_POLICY_PROGRESS = False
 
     def on_wake(self, t):
-        self.ctx.schedule("naive", naive_policy(self.ctx.n).bits,
-                          self.ctx.n + 1, nominal_start=t)
+        self.schedule("naive", naive_policy(self.n), nominal_start=t)
 
     def transmissions(self, t):
         return [self._msg(t, "sync")]
 
     def react(self, t, inbox):
-        ctx = self.ctx
         for msg in inbox:
-            ctx.edge_contact(t, msg.sender, msg.tau - ctx.tau(t))
+            self.edge_contact(t, msg.sender, msg.tau - self.tau(t))
         self.adopt(t, inbox)
         return []
 
@@ -467,16 +534,14 @@ class PairwiseProto(_Proto):
     USES_POLICY_PROGRESS = False
 
     def on_wake(self, t):
-        k = self.ctx.k
-        self.ctx.schedule("pairwise", basic_policy(k).bits, k, nominal_start=t)
+        self.schedule("pairwise", basic_policy(self.k), nominal_start=t)
 
     def transmissions(self, t):
         return [self._msg(t, "sync")]
 
     def react(self, t, inbox):
-        ctx = self.ctx
         for msg in inbox:
-            ctx.edge_contact(t, msg.sender, msg.tau - ctx.tau(t))
+            self.edge_contact(t, msg.sender, msg.tau - self.tau(t))
         return []
 
     def adopt(self, t, inbox):
@@ -491,5 +556,5 @@ _PROTOS = {
 }
 
 
-def make_protocol(algorithm, ctx, world):
-    return _PROTOS[algorithm](ctx, world)
+def make_protocol(algorithm, world, pid):
+    return _PROTOS[algorithm](world, pid)

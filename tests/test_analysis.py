@@ -8,7 +8,7 @@ import pytest
 from radiosync import analysis
 from radiosync.core import SimConfig
 from radiosync.engine import PolicyRecord, SimTrace, run
-from radiosync.policy import basic_policy
+from radiosync.policy import PolicyString, basic_policy
 
 
 def make_trace(policies, horizon=20, n=4, m=2, k=2):
@@ -18,9 +18,9 @@ def make_trace(policies, horizon=20, n=4, m=2, k=2):
 
 
 def rec(owner, bits, start, initial_len=0, kind="basic", phase=1, eff=None):
-    return PolicyRecord(owner=owner, kind=kind, bits=tuple(bits),
-                        initial_len=initial_len, nominal_start=start,
-                        effective_from=start if eff is None else eff, phase=phase)
+    return PolicyRecord(owner=owner, kind=kind, policy=PolicyString(tuple(bits), initial_len),
+                        nominal_start=start, effective_from=start if eff is None else eff,
+                        phase=phase)
 
 
 # --- discontinuity points ----------------------------------------------------

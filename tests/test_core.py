@@ -93,7 +93,7 @@ def test_wake_count_must_match_m():
         validate_config(SimConfig(n=4, m=3, wake_times=[0, 1]))
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", None])
+@pytest.mark.parametrize("bad", ["abc", "1/0", None, 0.1, True])
 def test_malformed_fractional_wake_rejected(bad):
     with pytest.raises(ConfigError, match="rational"):
         validate_config(SimConfig(n=4, m=2, wake_times=["0", bad], fractional=True))

@@ -5,6 +5,7 @@ import pytest
 from radiosync import protocols
 from radiosync.core import SimConfig
 from radiosync.engine import World, energy, run, step
+from radiosync.policy import PolicyString
 
 
 def test_naive_two_processors_sync_in_overlap_window():
@@ -42,6 +43,12 @@ def test_step_advances_one_tick():
     assert w.tick == 1
 
 
+def test_schedule_rejects_policy_ending_off():
+    w = World(SimConfig(n=4, m=2, wake_times=[0, 2], algorithm="naive"))
+    with pytest.raises(ValueError, match="end with an on-tick"):
+        w.procs[1].schedule("naive", PolicyString((1, 0), 1), nominal_start=0)
+
+
 @pytest.mark.parametrize("algorithm", ["synchronize", "dynamic-synch", "naive", "pairwise"])
 def test_stepping_matches_run(algorithm):
     cfg = SimConfig(n=16, m=4, wake_times="seeded-random", seed=5, algorithm=algorithm)
@@ -56,7 +63,7 @@ def test_stepping_matches_run(algorithm):
 def _record_audits(monkeypatch, algorithm):
     calls = []
     monkeypatch.setattr(protocols._PROTOS[algorithm], "audit",
-                        lambda self, t: calls.append((self.ctx.id, t)))
+                        lambda self, t: calls.append((self.id, t)))
     return calls
 
 
