@@ -75,16 +75,21 @@ def _record_length(rec) -> int:
 
 
 def discontinuity_points(trace, lo=None, hi=None) -> set:
-    """All discontinuity ticks in [lo, hi] (defaults to the whole trace)."""
+    """All discontinuity ticks in [lo, hi] (defaults to the whole trace):
+    the gaps between the merged continuing intervals."""
     if lo is None:
         lo = 0
     if hi is None:
         hi = trace.horizon
-    covered = _continuing_union(trace)
     out = set()
-    for t in range(lo, hi + 1):
-        if not _in_union(covered, t):
-            out.add(t)
+    t = lo  # first tick not yet classified
+    for a, b in _continuing_union(trace):
+        if a > hi:
+            break
+        if b >= t:
+            out.update(range(t, a))
+            t = b + 1
+    out.update(range(t, hi + 1))
     return out
 
 
@@ -98,11 +103,6 @@ def _continuing_union(trace):
         else:
             merged.append((a, b))
     return merged
-
-
-def _in_union(merged, t):
-    idx = bisect.bisect_right(merged, (t, float("inf"))) - 1
-    return idx >= 0 and merged[idx][0] <= t <= merged[idx][1]
 
 
 def clusters(trace) -> list:
@@ -158,16 +158,10 @@ def interval_stats(trace, lo: int, hi: int) -> IntervalStats:
 
 
 def check_continuity(trace, interval) -> bool:
-    """True iff no tick of the closed interval is a discontinuity point."""
+    """True iff no tick of the closed interval is a discontinuity point,
+    that is, iff one merged continuing interval holds all of it."""
     lo, hi = interval
-    merged = _continuing_union(trace)
-    t = lo
-    while t <= hi:
-        if not _in_union(merged, t):
-            return False
-        idx = bisect.bisect_right(merged, (t, float("inf"))) - 1
-        t = merged[idx][1] + 1
-    return True
+    return lo > hi or any(a <= lo and hi <= b for a, b in _continuing_union(trace))
 
 
 def final_window(trace) -> tuple:
@@ -177,7 +171,7 @@ def final_window(trace) -> tuple:
     return (L * 4 * trace.n, L * 4 * trace.n + 2 * trace.n)
 
 
-def _check_rendezvous_group(trace, tick, recs, details, all_clusters):
+def _check_rendezvous_group(trace, tick, recs, details, first_basic, cluster_of):
     """Validate one same-tick report exchange; returns False on any error.
 
     Every reporter at the tick must have heard exactly the others, rank
@@ -193,7 +187,9 @@ def _check_rendezvous_group(trace, tick, recs, details, all_clusters):
     of [4n + (p+q)/2 - ell*k^2/2, 4n + (p+q)/2 + ell*k^2/2].  Groups that
     reschedule already-merged heavy clusters lose leading on-ticks (a radio
     cannot switch on in the past) and are checked for arithmetic only.
-    all_clusters() returns clusters(trace); only pristine groups call it.
+    first_basic maps (owner, phase) to the index of that owner's first basic
+    policy of the phase; cluster_of() maps a record index to the cluster
+    holding it, and only pristine groups call it.
     """
     import math
 
@@ -219,7 +215,8 @@ def _check_rendezvous_group(trace, tick, recs, details, all_clusters):
         # the cluster actually containing this group's policies, over the
         # full policy pool: a neighbour's clipped policy can share the
         # interval without ever sharing an on-tick, leaving it unsynced
-        cluster = _cluster_containing(trace, ids[0], phase, all_clusters)
+        target = first_basic.get((ids[0], phase))
+        cluster = None if target is None else cluster_of().get(target)
         if cluster is None:
             pristine = False
         else:
@@ -251,7 +248,8 @@ def _check_rendezvous_group(trace, tick, recs, details, all_clusters):
                            f" expected {expect}")
         starts[r.owner] = r.next_global
     for r in recs:
-        succ = _successor_policy(trace, r.owner, r.phase + 1)
+        i = first_basic.get((r.owner, r.phase + 1))
+        succ = None if i is None else trace.policies[i]
         if succ is None:
             ok = False
             details.append(f"tick {tick}: successor policy missing for p{r.owner}")
@@ -278,29 +276,6 @@ def _check_rendezvous_group(trace, tick, recs, details, all_clusters):
     return ok
 
 
-def _cluster_containing(trace, owner, phase, all_clusters):
-    """The cluster (over the whole policy pool) holding this owner's
-    phase policy."""
-    target = None
-    for i, rec in enumerate(trace.policies):
-        if rec.kind == "basic" and rec.phase == phase and rec.owner == owner:
-            target = i
-            break
-    if target is None:
-        return None
-    for c in all_clusters():
-        if target in c.records:
-            return c
-    return None
-
-
-def _successor_policy(trace, owner, phase):
-    for rec in trace.policies:
-        if rec.kind == "basic" and rec.phase == phase and rec.owner == owner:
-            return rec
-    return None
-
-
 def check_flatten(trace) -> CheckReport:
     """Validate every report-exchange group of a phased-algorithm trace."""
     details = []
@@ -308,9 +283,22 @@ def check_flatten(trace) -> CheckReport:
     groups = {}
     for rec in trace.stage2:
         groups.setdefault(rec.tick, []).append(rec)
-    all_clusters = functools.cache(functools.partial(clusters, trace))
+    first_basic = {}
+    for i, rec in enumerate(trace.policies):
+        if rec.kind == "basic":
+            first_basic.setdefault((rec.owner, rec.phase), i)
+
+    @functools.cache
+    def cluster_of():
+        out = {}
+        for c in clusters(trace):
+            for i in c.records:
+                out.setdefault(i, c)
+        return out
+
     for tick, recs in sorted(groups.items()):
-        ok = _check_rendezvous_group(trace, tick, recs, details, all_clusters) and ok
+        ok = _check_rendezvous_group(trace, tick, recs, details,
+                                     first_basic, cluster_of) and ok
     return CheckReport(name="flatten", passed=ok, details=details)
 
 

@@ -183,15 +183,24 @@ def _report(trace, checks, fractional) -> dict:
 
 
 def _write_trace_csv(trace, path):
+    """One row per tick: the radio-on ids, then every displayed clock
+    (blank before wake).  The clock events come in tick order, so one
+    pointer sweeps them in step with the rows; between events a clock
+    reads t + delta with delta = tau - event tick."""
+    events = trace.clock_events
+    deltas = [None] * trace.m  # processor i at index i - 1
+    nxt = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "radio_on",
                          *[f"tau_{i}" for i in range(1, trace.m + 1)]])
         for t in range(trace.horizon + 1):
-            on = trace.on_sets.get(t, ())
-            taus = [trace.tau_at(i, t) for i in range(1, trace.m + 1)]
-            writer.writerow([t, " ".join(map(str, on)),
-                             *["" if x is None else x for x in taus]])
+            while nxt < len(events) and events[nxt][0] <= t:
+                tick, owner, tau, _q = events[nxt]
+                deltas[owner - 1] = tau - tick
+                nxt += 1
+            writer.writerow([t, " ".join(map(str, trace.on_sets.get(t, ()))),
+                             *["" if d is None else t + d for d in deltas]])
 
 
 def cmd_run(args) -> int:

@@ -119,7 +119,9 @@ class SimTrace:
     wakes: list
     policies: list = field(default_factory=list)
     on_sets: dict = field(default_factory=dict)
-    clock_events: list = field(default_factory=list)  # (tick, owner, tau, q)
+    # (tick, owner, tau, q), in non-decreasing tick order: a clock is only
+    # ever set at the instant the event loop is handling
+    clock_events: list = field(default_factory=list)
     stage2: list = field(default_factory=list)
     dyn_events: list = field(default_factory=list)
     edge_contacts: dict = field(default_factory=dict)  # (u,v) -> (tick, diff)
@@ -158,13 +160,10 @@ class SimTrace:
 
     def tau_at(self, owner: int, tick) -> int | None:
         """Displayed clock of `owner` at `tick` (None before wake)."""
-        best = None
-        for t, o, tau, _q in self.clock_events:
+        for t, o, tau, _q in reversed(self.clock_events):
             if o == owner and t <= tick:
-                best = (t, tau)
-        if best is None:
-            return None
-        return best[1] + (tick - best[0])
+                return tau + (tick - t)
+        return None
 
 
 class World:

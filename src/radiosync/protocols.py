@@ -23,9 +23,11 @@ fractional mode the adopted clock carries a sub-unit offset q as well
 (adopt_fractional).
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import ceil_log2, compute_k
@@ -178,7 +180,7 @@ class _Proto:
         self.n, self.k = world.n, world.k
         self.wake = None
         self._delta = None  # tau(t) = t + delta
-        self._jsteps = []  # [(effective_tick, jdelta)], ascending
+        self._jsteps = []  # [(effective_tick, jdelta)], strictly ascending
         self.q_frac = Fraction(0)
 
     # clock / counter reads ------------------------------------------------
@@ -186,15 +188,10 @@ class _Proto:
         return t + self._delta
 
     def j(self, t):
-        jd = None
-        for eff, val in self._jsteps:
-            if eff <= t:
-                jd = val
-            else:
-                break
-        if jd is None:
+        i = bisect.bisect_right(self._jsteps, t, key=itemgetter(0))
+        if i == 0:
             return self.tau(t)
-        return t + jd
+        return t + self._jsteps[i - 1][1]
 
     # state changes ---------------------------------------------------------
     def set_clock(self, t, tau_v, j_v=None, q_v=None, q_prime=None):

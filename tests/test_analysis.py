@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radiosync import analysis
 from radiosync.core import SimConfig
@@ -44,6 +45,34 @@ def test_two_overlapping_policies_bridge_the_gap():
     d = analysis.discontinuity_points(tr)
     assert all(t not in d for t in range(0, 8))
     assert 8 in d
+
+
+def _discontinuity_oracle(trace, lo, hi):
+    """The definition: no performed span covers both t and t+1."""
+    spans = [(a, b) for _i, a, b in analysis._performed(trace)]
+    return {t for t in range(lo, hi + 1)
+            if not any(a <= t and t + 1 <= b for a, b in spans)}
+
+
+# merged continuing intervals [2, 4] (an overlap and a shared end tick)
+# and [12, 14]; the blip at 9 continues nothing
+_GAPPY = make_trace([rec(1, [1, 0, 1], 2), rec(2, [1, 1], 4), rec(1, [1], 9),
+                     rec(2, [1, 0, 0, 1], 12)], horizon=20)
+_SYNC = run(SimConfig(n=8, m=3, wake_times=[0, 3, 6], algorithm="synchronize"))
+
+
+@pytest.mark.parametrize("trace", [_GAPPY, _SYNC], ids=["gappy", "synchronize"])
+@settings(max_examples=150, deadline=None)
+@given(lo=st.integers(-5, 160), hi=st.integers(-5, 160))
+@example(lo=3, hi=3)  # inside a merged interval
+@example(lo=3, hi=13)  # both bounds inside merged intervals
+@example(lo=10, hi=5)  # empty range
+@example(lo=15, hi=160)  # past the horizon
+@example(lo=-3, hi=1)
+def test_discontinuity_points_match_definition(trace, lo, hi):
+    want = _discontinuity_oracle(trace, lo, hi)
+    assert analysis.discontinuity_points(trace, lo, hi) == want
+    assert analysis.check_continuity(trace, (lo, hi)) == (not want)
 
 
 # --- clusters ----------------------------------------------------------------
@@ -240,6 +269,18 @@ def test_check_flatten_sees_mutated_policies():
     fresh = analysis.check_flatten(copy.deepcopy(tr))
     assert (again.passed, again.details) == (fresh.passed, fresh.details)
     assert len(fresh.details) > len(before.details)
+
+
+def test_check_flatten_uses_first_basic_policy_of_a_phase():
+    tr = run(SimConfig(n=64, m=8, wake_times="seeded-random", algorithm="synchronize"))
+    before = analysis.check_flatten(tr)
+    # later never-performed duplicates, one tick off: they join no cluster,
+    # and the successor check must keep reading the earliest record
+    for r in [r for r in tr.policies if r.kind == "basic"]:
+        tr.policies.append(dataclasses.replace(r, nominal_start=r.nominal_start + 1,
+                                               effective_from=tr.horizon + 10**6))
+    after = analysis.check_flatten(tr)
+    assert (after.passed, after.details) == (before.passed, before.details)
 
 
 def test_dynamic_checker_examples():

@@ -1,9 +1,13 @@
 import csv
+import io
 import json
+from collections import Counter
 
 import pytest
 
-from radiosync.cli import main
+from radiosync.cli import _write_trace_csv, main
+from radiosync.core import SimConfig
+from radiosync.engine import run
 
 
 def run_cli(args, capsys):
@@ -120,6 +124,36 @@ def test_trace_csv(tmp_path, capsys):
     assert rows[0]["tick"] == "0"
     assert len(rows) > 8
     assert any(r["radio_on"] for r in rows)
+
+
+def _csv_from_tau_at(trace):
+    """The trace CSV built row by row from SimTrace.tau_at."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["tick", "radio_on", *[f"tau_{i}" for i in range(1, trace.m + 1)]])
+    for t in range(trace.horizon + 1):
+        taus = [trace.tau_at(i, t) for i in range(1, trace.m + 1)]
+        writer.writerow([t, " ".join(map(str, trace.on_sets.get(t, ()))),
+                         *["" if x is None else x for x in taus]])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("algorithm, n, wakes", [
+    ("synchronize", 8, [0, 3, 5, 8]),
+    ("dynamic-synch", 8, [0, 3, 5, 8]),
+    ("naive", 6, [0, 4, 6]),
+    ("pairwise", 9, [0, 4, 7]),
+])
+def test_trace_csv_matches_tau_at(tmp_path, algorithm, n, wakes):
+    trace = run(SimConfig(n=n, m=len(wakes), wake_times=wakes, algorithm=algorithm))
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(trace, path)
+    assert path.read_bytes() == _csv_from_tau_at(trace)
+    # late wakers leave blank cells; all but pairwise adopt on their wake
+    # tick, which sets one clock twice at one tick
+    assert b",," in path.read_bytes()
+    twice = Counter((t, o) for t, o, _tau, _q in trace.clock_events)
+    assert (max(twice.values()) > 1) == (algorithm != "pairwise")
 
 
 def test_sweep_writes_budgeted_table(tmp_path, capsys):
