@@ -20,8 +20,8 @@ from .core import (
     validate_config,
 )
 from .policy import PolicyString, basic_policy, naive_policy, on_ticks, overlaps, policy_len
-from .engine import EnergyReport, Message, SimTrace, World, energy, run, step
-from .protocols import ceil_sqrt, dynamic_next, early_sync, flatten_next
+from .engine import EnergyReport, Message, SimTrace, World, energy, run
+from .protocols import ceil_sqrt, dynamic_next, flatten_next
 from .fractional import (
     FracWorld,
     adopt_fractional,
@@ -50,8 +50,8 @@ __all__ = [
     "ConfigError", "SimConfig", "Topology", "ceil_log2", "complete_topology",
     "compute_k", "validate_config", "PolicyString", "basic_policy",
     "naive_policy", "on_ticks", "overlaps", "policy_len", "EnergyReport",
-    "Message", "SimTrace", "World", "energy", "run", "step", "ceil_sqrt",
-    "dynamic_next", "early_sync", "flatten_next", "FracWorld",
+    "Message", "SimTrace", "World", "energy", "run", "ceil_sqrt",
+    "dynamic_next", "flatten_next", "FracWorld",
     "adopt_fractional", "anchors", "overlap_fraction", "q_prime",
     "run_fractional", "timeline_anchor", "OffsetWitness", "budget_curve",
     "build_topology", "l_connected", "multi_hop_experiment",

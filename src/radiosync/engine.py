@@ -18,8 +18,12 @@ while staying fully deterministic:
   D  handlers consume the C-inbox; no further emission is allowed.
 
 Messages are delivered only between radio-on topology neighbours, within
-the tick they are sent.  Radio-on sets come exclusively from scheduled
-policies; a tick counts once for energy however many policies cover it.
+the tick they are sent.  A sub-phase's messages are sorted once, and each
+inbox is that list cut down to the senders its receiver hears.  C and D
+run only for a protocol class that overrides their handlers, or when B
+emitted.  Radio-on sets come exclusively from scheduled policies; a tick
+counts once for energy however many policies cover it.  The message log
+(`SimTrace.messages`) is recorded only on request.
 """
 
 import hashlib
@@ -175,7 +179,7 @@ class World:
     fractional engine shares all of this and overrides only `_on_instant`.
     """
 
-    def __init__(self, cfg: SimConfig, record_messages: bool | None = None):
+    def __init__(self, cfg: SimConfig, record_messages: bool = False):
         cfg = validate_config(cfg)
         self._check_mode(cfg)
         self.cfg = cfg
@@ -189,8 +193,6 @@ class World:
         self.adj = cfg.topology.adjacency()
         self.tick = 0
 
-        if record_messages is None:
-            record_messages = self.m * (self.horizon + 1) <= 200_000
         self.trace = SimTrace(
             cfg=_cfg_echo(cfg, self.k, self.horizon),
             n=self.n, m=self.m, k=self.k, horizon=self.horizon,
@@ -206,6 +208,9 @@ class World:
 
         self.procs = {i: protocols.make_protocol(cfg.algorithm, self, i)
                       for i in range(1, self.m + 1)}
+        base = protocols._Proto
+        self._late_phases = any(cls.react2 is not base.react2 or cls.absorb is not base.absorb
+                                for cls in {type(p) for p in self.procs.values()})
         self._awake: set[int] = set()
         self._in_wake_hook = False
 
@@ -305,35 +310,38 @@ class World:
         """Radio-on tick: account energy, exchange, end the tick."""
         on_sorted = sorted(self._on_map[t])
         self.trace.on_sets[t] = tuple(on_sorted)
+        counts = self.trace.energy_counts
         for pid in on_sorted:
-            self.trace.energy_counts[pid] += 1
+            counts[pid] += 1
+        procs = [self.procs[pid] for pid in on_sorted]
 
-        inbox = self._exchange(t, on_sorted, "transmissions", None)
-        inbox = self._exchange(t, on_sorted, "react", inbox)
-        inbox = self._exchange(t, on_sorted, "react2", inbox)
-        leftover = self._exchange(t, on_sorted, "absorb", inbox)
-        if any(leftover.values()):
-            raise RuntimeError("absorb phase must not emit messages")
-        for pid in on_sorted:
-            self.procs[pid].tick_end(t)
+        inbox = self._exchange(t, on_sorted, [p.transmissions(t) for p in procs])
+        out = [p.react(t, inbox.get(p.id, ())) for p in procs]
+        if self._late_phases or any(out):
+            inbox = self._exchange(t, on_sorted, out)
+            inbox = self._exchange(t, on_sorted,
+                                   [p.react2(t, inbox.get(p.id, ())) for p in procs])
+            if any([p.absorb(t, inbox.get(p.id, ())) for p in procs]):
+                raise RuntimeError("absorb phase must not emit messages")
+        for p in procs:
+            p.tick_end(t)
 
-    def _exchange(self, t, on_sorted, phase_name, inbox):
-        """Run one sub-phase; returns the inbox produced for the next one."""
-        produced: dict[int, list] = {pid: [] for pid in on_sorted}
-        for pid in on_sorted:
-            handler = getattr(self.procs[pid], phase_name)
-            out = handler(t) if inbox is None else handler(t, inbox[pid])
-            if not out:
-                continue
-            receivers = [v for v in sorted(self.adj[pid]) if v in produced]
-            if self.trace.messages is not None:
-                self.trace.messages.setdefault(t, []).extend(
-                    (pid, msg.kind, msg.payload, tuple(receivers)) for msg in out)
-            for v in receivers:
-                produced[v].extend(out)
-        for pid in produced:
-            produced[pid].sort(key=lambda msg: (msg.sender, msg.kind, msg.payload))
-        return produced
+    def _exchange(self, t, on_sorted, outs):
+        """Deliver one sub-phase's messages (outs[i] is what on_sorted[i]
+        sent); returns every radio-on receiver's inbox ({} if none was sent)."""
+        sent = [msg for out in outs if out for msg in out]
+        if not sent:
+            return {}
+        adj = self.adj
+        if self.trace.messages is not None:
+            log = self.trace.messages.setdefault(t, [])
+            for pid, out in zip(on_sorted, outs):
+                if out:
+                    receivers = tuple(v for v in on_sorted if v in adj[pid])
+                    log.extend((pid, msg.kind, msg.payload, receivers) for msg in out)
+        # sorted once, stably; filtering keeps that order in every inbox
+        sent.sort(key=lambda msg: (msg.sender, msg.kind, msg.payload))
+        return {v: [msg for msg in sent if msg.sender in adj[v]] for v in on_sorted}
 
 
 def _cfg_echo(cfg, k, horizon):
@@ -353,12 +361,6 @@ def _cfg_echo(cfg, k, horizon):
             "edges": sorted(list(e) for e in cfg.topology.edges),
         },
     }
-
-
-def step(world: World) -> World:
-    """Advance the world by one tick (functional-style convenience)."""
-    world.step()
-    return world
 
 
 def run(cfg: SimConfig) -> SimTrace:

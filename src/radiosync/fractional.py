@@ -66,7 +66,7 @@ class FracWorld(World):
     """
 
     def __init__(self, cfg):
-        super().__init__(cfg, record_messages=False)
+        super().__init__(cfg)
         self._slot_inbox: dict[int, list] = {}
         self._slot_start: dict[int, Fraction] = {}
 

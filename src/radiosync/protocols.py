@@ -12,23 +12,23 @@ react / react2 / absorb / tick_end / audit):
   naive          always-on for n+1 ticks;
   pairwise       one ceil(sqrt(n))-basic policy, per-edge clock deltas.
 
-Clock adoption follows the early-sync rule: take the clock of the
-lexicographically largest (progress, id) sender in the inbox if it beats
-your own pair.  In the phased algorithm the progress counter is the ticks
-since the current policy started (and is overwritten on adoption, which is
-what lines up the reschedule arithmetic across a merged cluster).  In the
-other algorithms every policy starts at wake, so the counter coincides with
-the clock itself; messages carry the clock in the progress field.  In
-fractional mode the adopted clock carries a sub-unit offset q as well
-(adopt_fractional).
+Clock adoption follows the early-sync rule (sync_winner): take the clock of
+the lexicographically largest (progress, id) sender in the inbox if it
+beats your own pair.  In the phased algorithm the progress counter is the
+ticks since the current policy started (and is overwritten on adoption,
+which is what lines up the reschedule arithmetic across a merged
+cluster).  In the other algorithms every policy starts at wake, so the
+counter coincides with the clock itself; messages carry the clock in the
+progress field.  In fractional mode the adopted clock carries a sub-unit
+offset q as well (adopt_fractional).
 """
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
 
 from .core import ceil_log2, compute_k
 from .policy import PolicyString, basic_policy, naive_policy
@@ -68,7 +68,7 @@ class Message:
     """A delivered message.  Every message piggybacks the sender's (tau, j).
 
     q is the sender's sub-unit clock offset and qp the receiver-specific
-    slot-start difference; both stay zero on the integer engine.
+    slot-start difference; both stay the integer 0 on the integer engine.
     """
 
     kind: str  # sync | init | resp | pass | report
@@ -76,8 +76,8 @@ class Message:
     tau: int
     j: int
     payload: tuple = ()
-    q: Fraction = Fraction(0)
-    qp: Fraction = Fraction(0)
+    q: Fraction | int = 0
+    qp: Fraction | int = 0
 
 
 @dataclass
@@ -110,12 +110,6 @@ class Stage2Record:
         }
 
 
-class _Entry(NamedTuple):
-    sender: int
-    tau: int
-    j: int
-
-
 def sync_winner(j, pid, inbox):
     """The early-sync winner: the first message with the lexicographically
     largest (j, sender), if that beats the receiver's own (j, pid); else None."""
@@ -139,19 +133,6 @@ def adopt_fractional(tau_v, q_v, qp):
     return tau, q
 
 
-def early_sync(state: tuple, inbox: list) -> tuple:
-    """One adoption decision: state and messages are (id, tau, j) triples.
-
-    Returns the updated (id, tau, j).  The winner is the lexicographic
-    maximum of (j, id) over the inbox; adoption copies both tau and j.
-    """
-    pid, tau, j = state
-    best = sync_winner(j, pid, [_Entry(*e) for e in inbox])
-    if best is not None:
-        tau, j = best.tau, best.j
-    return (pid, tau, j)
-
-
 def flatten_next(n: int, tau: int, len_c: int, ell: int, mu: int, k: int) -> int:
     """Local clock value at which the rescheduled policy starts.
 
@@ -172,16 +153,19 @@ def dynamic_next(k: int, candidate: bool, winner: bool, ell: int, dif: int) -> i
 
 class _Proto:
     """One processor: its clock, its progress counter and its trace hooks,
-    with do-nothing handlers so each algorithm overrides only what it uses."""
+    with do-nothing handlers so each algorithm overrides only what it uses.
+    The owning world is held by weak proxy, so a dropped world is freed."""
 
     def __init__(self, world, pid):
-        self.world = world
+        self.world = weakref.proxy(world)
+        self.trace = world.trace
         self.id = pid
         self.n, self.k = world.n, world.k
+        self.edge_count = len(world.cfg.topology.edges)
         self.wake = None
         self._delta = None  # tau(t) = t + delta
         self._jsteps = []  # [(effective_tick, jdelta)], strictly ascending
-        self.q_frac = Fraction(0)
+        self.q_frac = 0
 
     # clock / counter reads ------------------------------------------------
     def tau(self, t):
@@ -196,18 +180,20 @@ class _Proto:
     # state changes ---------------------------------------------------------
     def set_clock(self, t, tau_v, j_v=None, q_v=None, q_prime=None):
         """Set the clock (and optionally the progress counter): zero at wake,
-        a peer's on adoption."""
+        a peer's on adoption, with the peer's carry (q_v, q_prime)."""
         old = self._delta
         old_q = self.q_frac
         old_key = None if old is None else old + old_q
-        if q_v is not None:
+        if q_v or q_prime:
             tau_v, self.q_frac = adopt_fractional(tau_v, q_v, q_prime)
+        elif q_v is not None:
+            self.q_frac = 0
         self._delta = tau_v - t
         if j_v is not None:
             self._push_jstep(t, j_v - t)
         if self._delta != old or self.q_frac != old_q:
             self.world._clock_change(self.id, old_key, self._delta + self.q_frac)
-            self.world.trace.clock_events.append((t, self.id, self.tau(t), self.q_frac))
+            self.trace.clock_events.append((t, self.id, self.tau(t), self.q_frac))
 
     def _push_jstep(self, eff, val):
         while self._jsteps and self._jsteps[-1][0] >= eff:
@@ -225,15 +211,22 @@ class _Proto:
 
     # trace hooks ------------------------------------------------------------
     def dyn_event(self, t, kind, payload=()):
-        self.world.trace.dyn_events.append((t, kind, self.id, tuple(payload)))
+        self.trace.dyn_events.append((t, kind, self.id, tuple(payload)))
 
     def flag(self, text):
-        self.world.trace.flags.append(text)
+        self.trace.flags.append(text)
 
-    def edge_contact(self, t, other, diff):
-        key = (min(self.id, other), max(self.id, other))
-        if key not in self.world.trace.edge_contacts:
-            self.world.trace.edge_contacts[key] = (t, diff)
+    def edge_contacts(self, t, inbox):
+        """Record each new edge to an inbox sender with its clock delta."""
+        contacts = self.trace.edge_contacts
+        if len(contacts) == self.edge_count:
+            return
+        tau, me = self.tau(t), self.id
+        for msg in inbox:
+            other = msg.sender
+            key = (me, other) if me < other else (other, me)
+            if key not in contacts:
+                contacts[key] = (t, msg.tau - tau)
 
     # handlers ---------------------------------------------------------------
     def on_wake(self, t):
@@ -258,7 +251,7 @@ class _Proto:
         pass
 
     def adopt(self, t, inbox):
-        """Apply the early-sync rule (see early_sync) over a whole inbox."""
+        """Apply the early-sync rule (see sync_winner) over a whole inbox."""
         if not inbox:
             return
         msg = sync_winner(self._progress(t), self.id, inbox)
@@ -322,7 +315,7 @@ class SynchronizeProto(_Proto):
         return []
 
     def _start_execution(self, t, gstart, next_local, ids, len_c, ell, mu):
-        self.world.trace.stage2.append(Stage2Record(
+        self.trace.stage2.append(Stage2Record(
             owner=self.id, tick=t, frozen_j=self.frozen_j, member_ids=tuple(ids),
             len_c=len_c, ell=ell, mu=mu, next_local=next_local,
             next_global=gstart, phase=self.exec_no - 1,
@@ -517,8 +510,7 @@ class NaiveProto(_Proto):
         return [self._msg(t, "sync")]
 
     def react(self, t, inbox):
-        for msg in inbox:
-            self.edge_contact(t, msg.sender, msg.tau - self.tau(t))
+        self.edge_contacts(t, inbox)
         self.adopt(t, inbox)
         return []
 
@@ -537,8 +529,7 @@ class PairwiseProto(_Proto):
         return [self._msg(t, "sync")]
 
     def react(self, t, inbox):
-        for msg in inbox:
-            self.edge_contact(t, msg.sender, msg.tau - self.tau(t))
+        self.edge_contacts(t, inbox)
         return []
 
     def adopt(self, t, inbox):

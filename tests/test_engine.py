@@ -1,11 +1,18 @@
+import gc
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 
 from radiosync import protocols
+from radiosync.adversary import build_topology
 from radiosync.core import SimConfig
-from radiosync.engine import World, energy, run, step
+from radiosync.engine import Message, World, energy, run
+from radiosync.fractional import FracWorld
 from radiosync.policy import PolicyString
+
+ALGORITHMS = ["synchronize", "dynamic-synch", "naive", "pairwise"]
 
 
 def test_naive_two_processors_sync_in_overlap_window():
@@ -39,7 +46,7 @@ def test_determinism_double_run():
 def test_step_advances_one_tick():
     w = World(SimConfig(n=4, m=2, wake_times=[0, 2], algorithm="naive"))
     assert w.tick == 0
-    step(w)
+    w.step()
     assert w.tick == 1
 
 
@@ -54,7 +61,7 @@ def test_stepping_matches_run(algorithm):
     cfg = SimConfig(n=16, m=4, wake_times="seeded-random", seed=5, algorithm=algorithm)
     world = World(cfg)
     while world.tick <= world.horizon:
-        step(world)
+        world.step()
     ref = run(cfg)
     for attr in ("on_sets", "energy_counts", "clock_events", "policies"):
         assert getattr(world.trace, attr) == getattr(ref, attr), attr
@@ -65,7 +72,7 @@ def test_clock_events_in_tick_order(algorithm):
     cfg = SimConfig(n=16, m=4, wake_times="seeded-random", seed=5, algorithm=algorithm)
     world = World(cfg)
     while world.tick <= world.horizon:
-        step(world)
+        world.step()
     for trace in (run(cfg), world.trace):
         ticks = [t for t, _o, _tau, _q in trace.clock_events]
         assert len(ticks) >= cfg.m
@@ -126,8 +133,8 @@ def test_no_delivery_between_non_neighbors():
     topo = two_clique(4)
     cfg = SimConfig(n=4, m=4, wake_times=[0, 0, 0, 0], topology=topo,
                     algorithm="naive")
-    tr = run(cfg)
-    assert tr.messages is not None
+    tr = World(cfg, record_messages=True).run()
+    assert tr.messages
     for t, records in tr.messages.items():
         for sender, kind, payload, receivers in records:
             for r in receivers:
@@ -137,11 +144,84 @@ def test_no_delivery_between_non_neighbors():
 def test_radio_off_receives_nothing():
     # processor 2 wakes at n: before that it is off and must hear nothing
     cfg = SimConfig(n=6, m=2, wake_times=[0, 6], algorithm="pairwise")
-    tr = run(cfg)
+    tr = World(cfg, record_messages=True).run()
+    assert tr.messages
     for t, records in tr.messages.items():
         for sender, kind, payload, receivers in records:
             for r in receivers:
                 assert t in tr.on_sets and r in tr.on_sets[t]
+
+
+def test_message_log_is_opt_in():
+    cfg = SimConfig(n=4, m=2, wake_times=[0, 2], algorithm="naive")
+    assert run(cfg).messages is None
+    assert World(cfg, record_messages=True).run().messages
+
+
+# synchronize and dynamic-synch run on the complete topology only
+@pytest.mark.parametrize("topology, algorithm", [
+    *(("complete", alg) for alg in ALGORITHMS),
+    *((topo, alg) for topo in ("two-clique", "l-connected:1", "unit-disk")
+      for alg in ("naive", "pairwise")),
+])
+def test_receivers_are_radio_on_neighbours(topology, algorithm):
+    cfg = SimConfig(n=16, m=16, wake_times="seeded-random", seed=2,
+                    topology=build_topology(topology, 16), algorithm=algorithm)
+    tr = World(cfg, record_messages=True).run()
+    adj = cfg.topology.adjacency()
+    assert tr.messages
+    for t, records in tr.messages.items():
+        for sender, _kind, _payload, receivers in records:
+            assert sender in tr.on_sets[t]
+            assert receivers == tuple(v for v in tr.on_sets[t] if v in adj[sender])
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_integer_carry_is_int_zero(algorithm):
+    tr = run(SimConfig(n=16, m=4, wake_times="seeded-random", seed=5,
+                       algorithm=algorithm))
+    carries = [q for _t, _o, _tau, q in tr.clock_events]
+    carries += [q for _tau, q in tr.final_clocks.values()]
+    assert len(carries) >= 2 * 4
+    assert all(type(q) is int and q == 0 for q in carries)
+
+
+def test_zero_carry_adoption_resets_carry():
+    cfg = SimConfig(n=4, m=2, wake_times=[Fraction(0), Fraction(1, 2)],
+                    algorithm="naive", fractional=True)
+    world = FracWorld(cfg)
+    world.step()
+    proto = world.procs[1]
+    t = world.tick
+    proto.q_frac = Fraction(1, 3)
+    tau = proto.tau(t) + 10
+    proto.adopt(t, [Message(kind="sync", sender=2, tau=tau, j=tau)])
+    assert proto.q_frac == 0
+    assert proto.tau(t) == tau
+    assert world.trace.clock_events[-1] == (t, 1, tau, 0)
+
+
+def test_absorb_must_not_emit(monkeypatch):
+    monkeypatch.setattr(protocols.DynamicProto, "absorb",
+                        lambda self, t, inbox: [self._msg(t, "sync")])
+    cfg = SimConfig(n=8, m=3, wake_times=[0, 3, 5], algorithm="dynamic-synch")
+    with pytest.raises(RuntimeError, match="absorb phase must not emit"):
+        run(cfg)
+
+
+def test_dropped_world_is_freed_without_the_cycle_collector():
+    cfg = SimConfig(n=16, m=4, wake_times="seeded-random", seed=5,
+                    algorithm="synchronize")
+    gc.disable()
+    try:
+        world = World(cfg)
+        world.step()
+        trace = world.run()
+        refs = [weakref.ref(world), weakref.ref(trace)]
+        del world, trace
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_energy_conservation_recount():

@@ -5,24 +5,44 @@ from hypothesis import given, strategies as st
 
 from radiosync.core import SimConfig, ceil_log2
 from radiosync.engine import energy, run
-from radiosync.protocols import ceil_sqrt, dynamic_next, early_sync, flatten_next
+from radiosync.protocols import Message, ceil_sqrt, dynamic_next, flatten_next, sync_winner
 
 
 # --- pure operations -------------------------------------------------------
 
+def _beacon(sender, tau, j):
+    return Message(kind="sync", sender=sender, tau=tau, j=j)
+
+
+def _adopted(state, inbox):
+    """(id, tau, j) after the early-sync rule over (id, tau, j) messages."""
+    pid, tau, j = state
+    best = sync_winner(j, pid, [_beacon(*msg) for msg in inbox])
+    return state if best is None else (pid, best.tau, best.j)
+
+
 def test_early_sync_adopts_larger_progress():
-    state = early_sync((7, 10, 3), [(2, 25, 9)])
-    assert state == (7, 25, 9)
+    best = sync_winner(3, 7, [_beacon(2, 25, 9)])
+    assert (best.sender, best.tau, best.j) == (2, 25, 9)
+    assert _adopted((7, 10, 3), [(2, 25, 9)]) == (7, 25, 9)
 
 
 def test_early_sync_tie_breaks_on_id():
     # equal progress: the smaller id yields
-    assert early_sync((1, 10, 4), [(2, 12, 4)]) == (1, 12, 4)
-    assert early_sync((2, 10, 4), [(1, 12, 4)]) == (2, 10, 4)
+    assert sync_winner(4, 1, [_beacon(2, 12, 4)]).tau == 12
+    assert _adopted((1, 10, 4), [(2, 12, 4)]) == (1, 12, 4)
+    assert sync_winner(4, 2, [_beacon(1, 12, 4)]) is None
 
 
 def test_early_sync_keeps_earlier_clock():
-    assert early_sync((1, 50, 9), [(2, 3, 3)]) == (1, 50, 9)
+    assert sync_winner(9, 1, [_beacon(2, 3, 3)]) is None
+
+
+def test_early_sync_winner_is_first_maximum():
+    inbox = [_beacon(3, 40, 8), _beacon(5, 20, 6), _beacon(4, 41, 8)]
+    assert sync_winner(5, 1, inbox) is inbox[2]
+    assert sync_winner(8, 4, inbox) is None
+    assert sync_winner(8, 3, inbox) is inbox[2]
 
 
 @given(st.integers(1, 50), st.integers(0, 100),
@@ -44,8 +64,8 @@ def test_early_sync_matches_sequential_processing(own_j, own_tau, peers):
     state = (1, own_tau, own_j)
     sequential = state
     for msg in inbox:
-        sequential = early_sync(sequential, [msg])
-    assert early_sync(state, inbox) == sequential
+        sequential = _adopted(sequential, [msg])
+    assert _adopted(state, inbox) == sequential
 
 
 def test_flatten_next_examples():
