@@ -3,7 +3,10 @@ produce the SimTrace.digest() recorded for it.
 
 The corpus covers all four algorithms on the complete topology, naive and
 pairwise on multi-hop topologies, k_override and max_ticks, and the
-fractional engine with rational and with integral wakes.  A digest may
+fractional engine with rational and with integral wakes: naive and
+pairwise on multi-hop topologies with wake denominators 1-10, and one
+synchronize config with wake denominators 7, 9, 11 and 13 (a fine time
+base).  A digest may
 change only with an intended change of behaviour, named in CHANGES.md.
 """
 
