@@ -3,6 +3,8 @@
 Nothing happens while every radio is off, so the engine does not visit
 ticks one by one: its event loop pops instants from a heap of wakes,
 radio-on instants and the 2n audit, in that order within an instant.
+Event keys are integers, the instant times the engine's `unit` (1 here,
+finer on the fractional engine); handlers see the instant itself.
 
 One tick is one communication round.  Within a radio-on tick, delivery
 runs in four sub-phases so that request/response exchanges happen inside
@@ -32,6 +34,7 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .core import ConfigError, SimConfig, default_horizon, validate_config
 from . import protocols
@@ -72,13 +75,6 @@ class PolicyRecord:
     @property
     def fully_past(self) -> bool:
         return self.active_start > self.span_end
-
-    def active_on_ticks(self):
-        lo = self.effective_from
-        for pos in self.policy.one_positions:
-            g = self.nominal_start + pos
-            if g >= lo:
-                yield g
 
     def to_json(self):
         return {
@@ -173,15 +169,16 @@ class SimTrace:
 class World:
     """Mutable simulation state and the event loop that drives it.
 
-    The event heap holds (instant, kind, owner) tuples; the kind breaks
-    same-instant ties: 0 wake, 1 radio-on instant, 2 slot close (pushed only
-    by the fractional engine, fractional.FracWorld), 3 the 2n audit.  The
-    fractional engine shares all of this and overrides only `_on_instant`.
+    The event heap holds (key, kind, owner) tuples, key = instant * unit;
+    the kind breaks same-instant ties: 0 wake, 1 radio-on instant, 2 slot
+    close (pushed only by the fractional engine, fractional.FracWorld), 3
+    the 2n audit.  `_on_map` holds the radio-on set of each pending key.
+    The fractional engine overrides only `_time_unit` and the handlers.
     """
 
     def __init__(self, cfg: SimConfig, record_messages: bool = False):
         cfg = validate_config(cfg)
-        self._check_mode(cfg)
+        self.unit = self._time_unit(cfg)
         self.cfg = cfg
         self.n = cfg.n
         self.m = cfg.m
@@ -202,8 +199,8 @@ class World:
         self.trace.energy_counts = {i: 0 for i in range(1, self.m + 1)}
 
         self._on_map: dict = defaultdict(set)
-        self._events = [(w, 0, pid) for pid, w in enumerate(cfg.wake_times, start=1)]
-        self._events.append((2 * self.n, 3, 0))
+        self._events = [(self._key(w), 0, pid) for pid, w in enumerate(cfg.wake_times, start=1)]
+        self._events.append((2 * self.n * self.unit, 3, 0))
         heapq.heapify(self._events)
 
         self.procs = {i: protocols.make_protocol(cfg.algorithm, self, i)
@@ -223,10 +220,19 @@ class World:
         self._settled = 0  # ticks before this one are settled
         self._last_unequal = -1
 
-    def _check_mode(self, cfg):
+    def _time_unit(self, cfg):
+        """Event keys per time unit; rejects a config of the other mode."""
         if cfg.fractional:
             raise ConfigError("fractional configs run on fractional.run_fractional;"
                               " the integer engine needs integer wake times")
+        return 1
+
+    def _key(self, t):
+        """The event key of time t; t must lie on the 1/unit grid."""
+        key = t * self.unit
+        if key % 1:
+            raise ValueError(f"time {t} is not a multiple of 1/{self.unit}")
+        return int(key)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, owner, kind, policy, nominal_start, phase, meta):
@@ -237,11 +243,15 @@ class World:
                            nominal_start=nominal_start, effective_from=effective,
                            phase=phase, meta=meta)
         self.trace.policies.append(rec)
-        for g in rec.active_on_ticks():
-            if g < self.horizon + 1:
-                if g not in self._on_map:  # first radio-on slot at g
+        unit, on_map = self.unit, self._on_map
+        base, lo = self._key(nominal_start), self._key(effective)
+        end = (self.horizon + 1) * unit
+        for pos in policy.one_positions:
+            g = base + pos * unit
+            if lo <= g < end:
+                if g not in on_map:  # first radio-on slot at g
                     heapq.heappush(self._events, (g, 1, 0))
-                self._on_map[g].add(owner)
+                on_map[g].add(owner)
         return rec
 
     # -- clock bookkeeping ---------------------------------------------------
@@ -291,24 +301,24 @@ class World:
 
     def _handle_events_before(self, end):
         """Pop and handle, in heap order, every queued event before `end`."""
-        events = self._events
+        events, unit, end = self._events, self.unit, self._key(end)
         while events and events[0][0] < end:
-            instant, kind, owner = heapq.heappop(events)
-            self._settle(math.floor(instant))
-            self.tick = instant
+            key, kind, owner = heapq.heappop(events)
+            self._settle(key // unit)
+            self.tick = instant = key if unit == 1 else Fraction(key, unit)
             if kind == 0:
                 self._wake(instant, owner)
             elif kind == 1:
-                self._on_instant(instant)
+                self._on_instant(key, instant)
             elif kind == 2:
                 self._slot_close(instant, owner)
             else:
                 for pid in sorted(self._awake):
                     self.procs[pid].audit(instant)
 
-    def _on_instant(self, t):
+    def _on_instant(self, key, t):
         """Radio-on tick: account energy, exchange, end the tick."""
-        on_sorted = sorted(self._on_map[t])
+        on_sorted = sorted(self._on_map.pop(key))
         self.trace.on_sets[t] = tuple(on_sorted)
         counts = self.trace.energy_counts
         for pid in on_sorted:

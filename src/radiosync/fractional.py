@@ -56,59 +56,52 @@ class FracWorld(World):
 
     It shares the integer engine's state and event loop (set-up, scheduling,
     clock and synchronization bookkeeping) and replaces only the handling
-    of a radio-on instant.  Within an instant, wakes come first, then
+    of a radio-on instant.  Every slot start and every slot close lies on
+    the grid of 1/unit with unit = 2 * lcm(wake denominators), so event
+    keys stay integers.  Within an instant, wakes come first, then
     slot-start exchanges (`_on_instant`), then slot closes half a unit after
     a start (`_slot_close`, where completion sampling and reschedule
     computations run, after every message that can still reach the slot
-    has arrived).  Protocol handlers are the same classes the integer
-    engine drives; they see their own grid instants as "global ticks"
-    (their local arithmetic only ever adds integers).
+    has arrived).  Closes at I are handled after starts at I, so at a start
+    the open slots (`_slot_start`) are exactly those that started in
+    [I - 1/2, I]: the slots a new one overlaps by at least half a unit.
+    Protocol handlers are the same classes the integer engine drives; they
+    see their own grid instants as "global ticks" (their local arithmetic
+    only ever adds integers).
     """
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self._slot_inbox: dict[int, list] = {}
-        self._slot_start: dict[int, Fraction] = {}
+        self._slot_start: dict[int, tuple] = {}  # open slot: pid -> (key, instant)
 
-    def _check_mode(self, cfg):
+    def _time_unit(self, cfg):
         if not cfg.fractional:
             raise ConfigError("FracWorld requires fractional=True")
         if cfg.algorithm == "dynamic-synch":
             raise ConfigError(
                 "fractional mode supports synchronize, naive and pairwise; the"
                 " queue protocol's sub-unit hand-off timing is not defined")
+        return 2 * math.lcm(*(w.denominator for w in cfg.wake_times))
 
     # event handlers ----------------------------------------------------------
-    def _current_on_slot(self, pid, instant):
-        """Start of pid's radio-on slot overlapping `instant` by >= 1/2."""
-        wake = self.procs[pid].wake
-        if wake is None:
-            return None
-        j = math.floor(instant - wake)
-        if j < 0:
-            return None
-        s = wake + j
-        if s in self._on_map and pid in self._on_map[s] and instant - s <= HALF:
-            return s
-        return None
-
-    def _on_instant(self, instant):
+    def _on_instant(self, key, instant):
         """Slot starts: account energy and exchange with overlapping slots."""
-        starters = sorted(self._on_map[instant])
+        starters = sorted(self._on_map.pop(key))
+        close = key + self.unit // 2
         for pid in starters:
             self.trace.energy_counts[pid] += 1
-            self._slot_start[pid] = instant
+            self._slot_start[pid] = (key, instant)
             self._slot_inbox[pid] = []
-            heapq.heappush(self._events, (instant + HALF, 2, pid))
+            heapq.heappush(self._events, (close, 2, pid))
         self.trace.on_sets[instant] = tuple(starters)
 
+        open_slots = sorted(self._slot_start.items())
         pairs = []
         for pid in starters:
-            for nb in sorted(self.adj[pid]):
-                s_nb = self._current_on_slot(nb, instant)
-                if s_nb is not None and nb != pid:
-                    if s_nb == instant and nb < pid:
-                        continue  # both start now; pair handled once
+            adj = self.adj[pid]
+            for nb, (s_key, s_nb) in open_slots:
+                if nb in adj and not (s_key == key and nb < pid):  # both start now: once
                     pairs.append((pid, nb, s_nb))
         deliveries: dict[int, list] = {}
         for pid, nb, s_nb in pairs:
@@ -124,13 +117,12 @@ class FracWorld(World):
             msgs = sorted(deliveries[pid],
                           key=lambda m: (m.sender, m.kind, m.payload))
             self._slot_inbox[pid].extend(msgs)
-            self.tick = self._slot_start[pid]
+            self.tick = self._slot_start[pid][1]
             self.procs[pid].adopt(self.tick, msgs)
 
     def _slot_close(self, instant, pid):
-        s = instant - HALF
+        _, s = self._slot_start.pop(pid)
         inbox = self._slot_inbox.pop(pid)
-        del self._slot_start[pid]
         self.tick = s
         proto = self.procs[pid]
         proto.react(s, inbox)

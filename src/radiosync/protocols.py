@@ -283,12 +283,12 @@ class SynchronizeProto(_Proto):
         self.basic = basic_policy(self.k)
         self.rounds = ceil_log2(self.n)
         self.exec_no = 1
-        self.done = False
         self.stage2_tick = None
         self.stage2_clamped = False
         self.frozen_j = None
         self.set_j_anchor(t, t)
         self.cur = self.schedule("basic", self.basic, nominal_start=t, phase=1)
+        self.cur_end = self.cur.span_end  # last tick of the current policy
 
     def transmissions(self, t):
         out = [self._msg(t, "sync")]
@@ -324,28 +324,27 @@ class SynchronizeProto(_Proto):
         self.stage2_tick = None
         rec = self.schedule("basic", self.basic, nominal_start=gstart, phase=self.exec_no)
         self.set_j_anchor(max(gstart, t + 1), gstart)
-        self.cur = rec
+        self.cur, self.cur_end = rec, rec.span_end
         if rec.fully_past:
             # never radio-on, so no adoption: J at completion is the span
             self.frozen_j = rec.span_end - rec.nominal_start
             self._after_completion(t, rec)
 
     def tick_end(self, t):
-        if not self.done and self.cur is not None and t == self.cur.span_end:
+        if t == self.cur_end:  # None after the last policy and between policies
             self.frozen_j = self.j(t)
             self._after_completion(t, self.cur)
 
     def _after_completion(self, t, rec):
         if self.exec_no > self.rounds:
-            self.done = True
-            self.cur = None
+            self.cur = self.cur_end = None
             return
         natural = rec.span_end + 2 * self.n - self.frozen_j
         self.stage2_tick = max(natural, t + 1)
         self.stage2_clamped = self.stage2_tick != natural or rec.fully_past
         self.schedule("stage2", STAGE2_POLICY, nominal_start=self.stage2_tick,
                       phase=self.exec_no)
-        self.cur = None
+        self.cur = self.cur_end = None
 
 
 class DynamicProto(_Proto):

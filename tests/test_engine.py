@@ -56,6 +56,33 @@ def test_schedule_rejects_policy_ending_off():
         w.procs[1].schedule("naive", PolicyString((1, 0), 1), nominal_start=0)
 
 
+def test_off_grid_times_raise():
+    # an event key is the time times the engine's unit, exactly: a time off
+    # that grid must raise, not round onto it
+    w = World(SimConfig(n=4, m=2, wake_times=[0, 2], algorithm="naive"))
+    assert w.unit == 1
+    with pytest.raises(ValueError, match="not a multiple of 1/1"):
+        w.procs[1].schedule("naive", PolicyString((1,), 1), nominal_start=Fraction(1, 2))
+    fw = FracWorld(SimConfig(n=4, m=3, wake_times=[Fraction(0), Fraction(1, 4), Fraction(5, 6)],
+                             algorithm="naive", fractional=True))
+    assert fw.unit == 2 * 12
+    assert fw._key(Fraction(13, 24)) == 13
+    for t in (Fraction(1, 5), Fraction(1, 48)):
+        with pytest.raises(ValueError, match="not a multiple of 1/24"):
+            fw.procs[1].schedule("naive", PolicyString((1,), 1), nominal_start=t)
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+@pytest.mark.parametrize("algorithm", ["synchronize", "naive", "pairwise"])
+def test_handled_instants_leave_the_radio_on_map(algorithm, fractional):
+    wakes = [0, 3, 5, 9]
+    cfg = SimConfig(n=16, m=4, algorithm=algorithm, fractional=fractional,
+                    wake_times=[Fraction(w, 2) for w in wakes] if fractional else wakes)
+    world = FracWorld(cfg) if fractional else World(cfg)
+    trace = world.run()
+    assert trace.on_sets and not world._on_map
+
+
 @pytest.mark.parametrize("algorithm", ["synchronize", "dynamic-synch", "naive", "pairwise"])
 def test_stepping_matches_run(algorithm):
     cfg = SimConfig(n=16, m=4, wake_times="seeded-random", seed=5, algorithm=algorithm)

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from radiosync import fractional
+from radiosync.adversary import build_topology
 from radiosync.core import ConfigError, SimConfig
 from radiosync.engine import World, run
 from radiosync.fractional import (
+    FracWorld,
     adopt_fractional,
     anchors,
     overlap_fraction,
@@ -151,3 +154,57 @@ def test_displayed_clocks_within_one_unit():
     assert len(set(A.values())) == 1
     taus = [tau for tau, _q in tr.final_clocks.values()]
     assert max(taus) - min(taus) <= 1
+
+
+class _HeardLog(FracWorld):
+    """Records, at each slot start, every message the exchange delivered."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.heard = {}
+
+    def _on_instant(self, key, instant):
+        before = {pid: len(box) for pid, box in self._slot_inbox.items()}
+        super()._on_instant(key, instant)
+        self.heard[instant] = Counter(
+            (pid, msg.sender, msg.qp) for pid, box in self._slot_inbox.items()
+            for msg in box[before.get(pid, 0):] if msg.kind == "sync")
+
+
+def _overlap_definition(trace, adj):
+    """(receiver, sender, slot-start difference) of every exchange the
+    model requires, by instant: two adjacent radio-on slots talk iff they
+    overlap by at least half a unit, once, at the later of their starts."""
+    want = {}
+    for inst, starters in trace.on_sets.items():
+        got = want.setdefault(inst, Counter())
+        for s, others in trace.on_sets.items():
+            if not inst - HALF <= s <= inst:
+                continue
+            for p in starters:
+                for q in others:
+                    if q in adj[p] and (s < inst or p < q):
+                        got[(p, q, inst - s)] += 1
+                        got[(q, p, s - inst)] += 1
+    return want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("synchronize", "complete"), ("naive", "complete"),
+                        ("naive", "two-clique"), ("pairwise", "complete"),
+                        ("pairwise", "two-clique")]),
+       st.sampled_from([4, 8, 12]),
+       st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 6]), st.integers(0, 72)),
+                min_size=2, max_size=6).filter(lambda ws: len(ws) % 2 == 0),
+       st.booleans())
+def test_slot_pairing_matches_overlap_definition(case, n, raw, cut):
+    # random rational wakes in [0, n]; small denominators make half-unit
+    # offsets, the threshold, common
+    algorithm, topology = case
+    wakes = [Fraction(k % (n * d + 1), d) for d, k in raw]
+    cfg = SimConfig(n=n, m=len(wakes), wake_times=wakes, algorithm=algorithm,
+                    topology=build_topology(topology, len(wakes)), fractional=True,
+                    max_ticks=n // 2 if cut else None)
+    world = _HeardLog(cfg)
+    trace = world.run()
+    assert world.heard == _overlap_definition(trace, world.adj)

@@ -293,12 +293,12 @@ def test_recentring_keeps_members_over_their_offsets():
         view.policies = nxt
         nxt_clusters = analysis.clusters(view)
         for r in cur:
-            for t in r.active_on_ticks():
-                target = t + 4 * n
+            for pos in r.policy.one_positions:
+                target = r.nominal_start + pos + 4 * n
                 homes = [c for c in nxt_clusters
                          if c.interval[0] <= target <= c.interval[1]]
                 assert homes and all(r.owner in c.members for c in homes), \
-                    (phase, r.owner, t)
+                    (phase, r.owner, target)
 
 
 def test_queue_hand_off_receiver_is_on_and_head():
