@@ -260,24 +260,27 @@ def budget_curve(n: int, c_max: int) -> list:
 
 def multi_hop_experiment(topology, n: int, algorithm: str,
                          wake_times="uniform-spread", seed: int = 0) -> dict:
-    """Run a baseline algorithm on a multi-hop topology and report energy
-    plus per-edge first-contact coverage."""
+    """Run a baseline algorithm on a multi-hop topology (a built Topology:
+    a spec string would need m) and report energy plus per-edge
+    first-contact coverage."""
     if algorithm not in ("pairwise", "naive"):
         raise ConfigError("multi-hop baselines are pairwise and naive")
-    topo = build_topology(topology, m=None) if isinstance(topology, Topology) else topology
-    cfg = SimConfig(n=n, m=topo.m, wake_times=wake_times, topology=topo,
+    if not isinstance(topology, Topology):
+        raise ConfigError(f"multi_hop_experiment needs a Topology, got {topology!r}"
+                          " (build a spec with build_topology(spec, m))")
+    cfg = SimConfig(n=n, m=topology.m, wake_times=wake_times, topology=topology,
                     algorithm=algorithm, seed=seed)
     trace = run(cfg)
     rep = energy(trace)
     contacted = set(trace.edge_contacts)
-    missing = sorted(set(topo.edges) - contacted)
+    missing = sorted(set(topology.edges) - contacted)
     return {
         "algorithm": algorithm,
         "n": n,
-        "m": topo.m,
-        "topology": topo.kind,
-        "edges": len(topo.edges),
-        "edges_contacted": len(contacted & set(topo.edges)),
+        "m": topology.m,
+        "topology": topology.kind,
+        "edges": len(topology.edges),
+        "edges_contacted": len(contacted & set(topology.edges)),
         "edges_missing": missing,
         "all_edges_contacted": not missing,
         "total_energy": rep.total_energy,

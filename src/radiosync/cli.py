@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import adversary, analysis
-from .core import ConfigError, SimConfig, ceil_log2
+from .core import ConfigError, SimConfig, Topology, ceil_log2
 from .engine import energy, run
 from .fractional import anchors, run_fractional
 from .protocols import ceil_sqrt
@@ -105,24 +105,25 @@ def _parse_topology(spec: str, m: int):
                 except ValueError:
                     raise ConfigError(f"malformed edge line {ln!r} in {path}") from None
                 edges.add((min(u, v), max(u, v)))
-        from .core import Topology
-
         return Topology(m=m, edges=frozenset(edges), kind="edge-list")
     return adversary.build_topology(spec, m)
 
 
-def _build_config(args) -> SimConfig:
+def _build_config(args, n, m, fractional=False) -> SimConfig:
+    """The run's config; validate_config (at run time) checks n and m."""
     algorithm = "dynamic-synch" if args.algorithm == "dynamic" else args.algorithm
-    if args.n < 1:
-        raise ConfigError("n must be >= 1")
-    if args.m < 1:
-        raise ConfigError("m must be >= 1")
-    wakes = _parse_wakes(args.wake, args.fractional)
-    topo = _parse_topology(args.topology, args.m)
-    return SimConfig(n=args.n, m=args.m, wake_times=wakes, topology=topo,
+    return SimConfig(n=n, m=m, wake_times=_parse_wakes(args.wake, fractional),
+                     topology=_parse_topology(args.topology, m),
                      algorithm=algorithm, k_override=args.k,
-                     max_ticks=args.max_ticks, seed=args.seed,
-                     fractional=args.fractional)
+                     max_ticks=args.max_ticks, seed=args.seed, fractional=fractional)
+
+
+# checks backed by an analysis checker that returns (passed, details)
+_ANALYSIS_CHECKS = {
+    "flatten": analysis.check_flatten,
+    "continuity": analysis.check_final_continuity,
+    "dynamic": analysis.check_dynamic,
+}
 
 
 def _run_checks(trace, wanted):
@@ -133,14 +134,8 @@ def _run_checks(trace, wanted):
             results[name] = {"passed": ok,
                              "sync_complete_tick": trace.sync_complete_tick,
                              "flags": sorted(trace.flags)}
-        elif name == "flatten":
-            rep = analysis.check_flatten(trace)
-            results[name] = {"passed": rep.passed, "details": rep.details}
-        elif name == "continuity":
-            rep = analysis.check_final_continuity(trace)
-            results[name] = {"passed": rep.passed, "details": rep.details}
-        elif name == "dynamic":
-            rep = analysis.check_dynamic(trace)
+        elif name in _ANALYSIS_CHECKS:
+            rep = _ANALYSIS_CHECKS[name](trace)
             results[name] = {"passed": rep.passed, "details": rep.details}
         elif name == "budget":
             limit = _energy_budget(trace)
@@ -204,7 +199,7 @@ def _write_trace_csv(trace, path):
 
 
 def cmd_run(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, args.n, args.m, args.fractional)
     wanted = [c for c in args.check.split(",") if c]
     for c in wanted:
         if c not in CHECKS:
@@ -234,18 +229,14 @@ def cmd_sweep(args) -> int:
     ms = [_number(x, "--m entry") for x in args.m.split(",") if x]
     if not ns or not ms:
         raise ConfigError("sweep needs at least one n and one m")
-    algorithm = "dynamic-synch" if args.algorithm == "dynamic" else args.algorithm
     rows = []
     for n in ns:
         for m in ms:
-            cfg = SimConfig(n=n, m=m, wake_times=_parse_wakes(args.wake, False),
-                            topology=_parse_topology(args.topology, m),
-                            algorithm=algorithm, k_override=args.k,
-                            max_ticks=args.max_ticks, seed=args.seed)
+            cfg = _build_config(args, n, m)
             trace = run(cfg)
             rep = energy(trace)
             rows.append({
-                "n": n, "m": m, "k": trace.k, "algorithm": algorithm,
+                "n": n, "m": m, "k": trace.k, "algorithm": cfg.algorithm,
                 "max_energy": rep.max_energy, "total_energy": rep.total_energy,
                 "sync_tick": "" if rep.sync_complete_tick is None else rep.sync_complete_tick,
             })
@@ -267,10 +258,7 @@ def main(argv=None) -> int:
             code = cmd_run(args)
         else:
             code = cmd_sweep(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -95,8 +95,7 @@ class SimConfig:
 def default_horizon(n: int, k: int, algorithm: str, policy_span: int) -> int:
     """Last simulated tick, from each algorithm's completion guarantee."""
     if algorithm == "synchronize":
-        log_n = max(0, (n - 1).bit_length())  # ceil(log2 n), 0 for n == 1
-        return log_n * 4 * n + 2 * n + k * k + k + 1
+        return ceil_log2(n) * 4 * n + 2 * n + k * k + k + 1
     if algorithm == "dynamic-synch":
         return 4 * n + k * k + k + 2
     return 2 * n + policy_span
@@ -167,12 +166,6 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     hi = max(wakes)
     if hi > cfg.n:
         raise ConfigError(f"wake spread {hi} exceeds n={cfg.n}")
-    if any(w < 0 for w in wakes):
-        raise ConfigError("wake times must be non-negative")
-    if cfg.fractional:
-        wakes = [Fraction(w) for w in wakes]
-        if any(w >= cfg.n + 1 for w in wakes):
-            raise ConfigError("fractional wakes must lie in [0, n]")
 
     topo = cfg.topology
     if isinstance(topo, str):

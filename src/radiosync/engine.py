@@ -119,8 +119,9 @@ class SimTrace:
     wakes: list
     policies: list = field(default_factory=list)
     on_sets: dict = field(default_factory=dict)
-    # (tick, owner, tau, q), in non-decreasing tick order: a clock is only
-    # ever set at the instant the event loop is handling
+    # (tick, owner, tau, q), each owner's in non-decreasing tick order.  The
+    # whole list is too on the integer engine, not on the fractional one: it
+    # logs an adoption at the receiver's slot start, up to 1/2 unit back
     clock_events: list = field(default_factory=list)
     stage2: list = field(default_factory=list)
     dyn_events: list = field(default_factory=list)

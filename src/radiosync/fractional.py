@@ -63,8 +63,12 @@ class FracWorld(World):
     a start (`_slot_close`, where completion sampling and reschedule
     computations run, after every message that can still reach the slot
     has arrived).  Closes at I are handled after starts at I, so at a start
-    the open slots (`_slot_start`) are exactly those that started in
-    [I - 1/2, I]: the slots a new one overlaps by at least half a unit.
+    the open slots (`_slots`, one record each) are exactly those that
+    started in [I - 1/2, I]: the slots a new one overlaps by at least half
+    a unit.  No state changes between an instant's first `transmissions`
+    and its adoptions, so each slot's messages are built once per instant,
+    when a pair first needs them.  A close runs `react` and `tick_end` only:
+    the queue protocol, the one class with later sub-phases, is rejected.
     Protocol handlers are the same classes the integer engine drives; they
     see their own grid instants as "global ticks" (their local arithmetic
     only ever adds integers).
@@ -72,8 +76,7 @@ class FracWorld(World):
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        self._slot_inbox: dict[int, list] = {}
-        self._slot_start: dict[int, tuple] = {}  # open slot: pid -> (key, instant)
+        self._slots: dict[int, tuple] = {}  # open slot: pid -> (key, instant, inbox)
 
     def _time_unit(self, cfg):
         if not cfg.fractional:
@@ -91,43 +94,36 @@ class FracWorld(World):
         close = key + self.unit // 2
         for pid in starters:
             self.trace.energy_counts[pid] += 1
-            self._slot_start[pid] = (key, instant)
-            self._slot_inbox[pid] = []
+            self._slots[pid] = (key, instant, [])
             heapq.heappush(self._events, (close, 2, pid))
         self.trace.on_sets[instant] = tuple(starters)
 
-        open_slots = sorted(self._slot_start.items())
-        pairs = []
+        open_slots = sorted(self._slots.items())
+        beacons: dict[int, list] = {}  # pid -> its slot's messages, built on first need
+        deliveries: dict[int, list] = {}
         for pid in starters:
             adj = self.adj[pid]
-            for nb, (s_key, s_nb) in open_slots:
-                if nb in adj and not (s_key == key and nb < pid):  # both start now: once
-                    pairs.append((pid, nb, s_nb))
-        deliveries: dict[int, list] = {}
-        for pid, nb, s_nb in pairs:
-            self.tick = s_nb
-            for msg in self.procs[nb].transmissions(s_nb):
-                deliveries.setdefault(pid, []).append(
-                    replace(msg, qp=instant - s_nb))
-            self.tick = instant
-            for msg in self.procs[pid].transmissions(instant):
-                deliveries.setdefault(nb, []).append(
-                    replace(msg, qp=s_nb - instant))
+            for nb, (s_key, s_nb, _) in open_slots:
+                if nb not in adj or (s_key == key and nb < pid):  # both start now: once
+                    continue
+                for tx, s_tx, rx, qp in ((nb, s_nb, pid, instant - s_nb),
+                                         (pid, instant, nb, s_nb - instant)):
+                    if tx not in beacons:
+                        beacons[tx] = self.procs[tx].transmissions(s_tx)
+                    deliveries.setdefault(rx, []).extend(
+                        replace(msg, qp=qp) for msg in beacons[tx])
         for pid in sorted(deliveries):
             msgs = sorted(deliveries[pid],
                           key=lambda m: (m.sender, m.kind, m.payload))
-            self._slot_inbox[pid].extend(msgs)
-            self.tick = self._slot_start[pid][1]
-            self.procs[pid].adopt(self.tick, msgs)
+            _, s, inbox = self._slots[pid]
+            inbox.extend(msgs)
+            self.procs[pid].adopt(s, msgs)
 
     def _slot_close(self, instant, pid):
-        _, s = self._slot_start.pop(pid)
-        inbox = self._slot_inbox.pop(pid)
+        _, s, inbox = self._slots.pop(pid)
         self.tick = s
         proto = self.procs[pid]
         proto.react(s, inbox)
-        proto.react2(s, [])
-        proto.absorb(s, [])
         proto.tick_end(s)
 
 

@@ -372,11 +372,9 @@ class DynamicProto(_Proto):
         self.known = {self.id}
         self.next_round = None
         self.block = None
-        self.block_origin = None
         self.pass_tick = None
         self.first_main_tick = None
         self.main_ticks = set()
-        self.got_pass = False
         k = self.k
         self.schedule("dyn-initial", PolicyString((1,) * k, k), nominal_start=t)
         self.schedule("dyn-step5", basic_policy(k), nominal_start=t + 2 * self.n)
@@ -422,7 +420,6 @@ class DynamicProto(_Proto):
         self.next_round = dynamic_next(k, self.candidate and self.winner,
                                        self.winner, ell, dif)
         origin = self.wake + self.next_round - 1
-        self.block_origin = origin
         self.first_main_tick = origin + k
         self.pass_tick = origin + k * k + k
         self.main_ticks = {origin + j * k for j in range(1, k + 1)}
@@ -452,7 +449,6 @@ class DynamicProto(_Proto):
                 if passed:
                     self.q = list(passed[0].payload)
                     self.known.update(self.q)
-                    self.got_pass = True
                     self.dyn_event(t, "own", tuple(self.q))
                 else:
                     self.flag(f"missing-pass p{self.id} t{t}")

@@ -121,3 +121,9 @@ def test_isolated_pair_matches_two_processor_bound():
 def test_multi_hop_rejects_single_hop_algorithms():
     with pytest.raises(ConfigError):
         adversary.multi_hop_experiment(adversary.two_clique(4), 16, "synchronize")
+
+
+def test_multi_hop_rejects_a_topology_spec():
+    # a spec string names no m; it must be built first
+    with pytest.raises(ConfigError, match="build_topology"):
+        adversary.multi_hop_experiment("two-clique", 8, "naive")

@@ -164,10 +164,10 @@ class _HeardLog(FracWorld):
         self.heard = {}
 
     def _on_instant(self, key, instant):
-        before = {pid: len(box) for pid, box in self._slot_inbox.items()}
+        before = {pid: len(box) for pid, (_, _, box) in self._slots.items()}
         super()._on_instant(key, instant)
         self.heard[instant] = Counter(
-            (pid, msg.sender, msg.qp) for pid, box in self._slot_inbox.items()
+            (pid, msg.sender, msg.qp) for pid, (_, _, box) in self._slots.items()
             for msg in box[before.get(pid, 0):] if msg.kind == "sync")
 
 
@@ -208,3 +208,34 @@ def test_slot_pairing_matches_overlap_definition(case, n, raw, cut):
     world = _HeardLog(cfg)
     trace = world.run()
     assert world.heard == _overlap_definition(trace, world.adj)
+
+
+@pytest.mark.parametrize("algorithm", ["synchronize", "naive"])
+def test_each_slot_transmits_once_per_instant(algorithm, monkeypatch):
+    # quarter-unit wakes on a complete topology: slots meet several open
+    # slots at once, and each still builds its messages only once
+    rng = random.Random(3)
+    wakes = [Fraction(rng.randint(0, 16 * 4), 4) for _ in range(8)]
+    cfg = SimConfig(n=16, m=8, wake_times=wakes, algorithm=algorithm, fractional=True)
+    want = run_fractional(cfg).digest()
+    world = FracWorld(cfg)
+    calls = Counter()
+    cls = type(world.procs[1])
+    original = cls.transmissions
+
+    def counted(proto, t):
+        calls[(world.tick, proto.id)] += 1  # world.tick: the instant handled
+        return original(proto, t)
+
+    monkeypatch.setattr(cls, "transmissions", counted)
+    trace = world.run()
+    assert trace.digest() == want
+    assert calls and max(calls.values()) == 1
+    # the exchange met some slot more than once in an instant
+    met = Counter()
+    for inst, starters in trace.on_sets.items():
+        for s, others in trace.on_sets.items():
+            if inst - HALF <= s <= inst:
+                for p in starters:
+                    met[(inst, p)] += sum(q != p for q in others)
+    assert max(met.values()) >= 2
