@@ -17,7 +17,6 @@ from . import adversary, analysis
 from .core import ConfigError, SimConfig, Topology, ceil_log2
 from .engine import energy, run
 from .fractional import anchors, run_fractional
-from .protocols import ceil_sqrt
 
 CHECKS = ("sync", "flatten", "continuity", "dynamic", "budget")
 
@@ -154,7 +153,7 @@ def _energy_budget(trace) -> int:
         return 4 * k + 2
     if alg == "naive":
         return trace.n + 1
-    return 2 * ceil_sqrt(trace.n)
+    return 2 * trace.k  # pairwise: the k-basic policy has 2k on-ticks
 
 
 def _report(trace, checks, fractional) -> dict:

@@ -20,12 +20,15 @@ while staying fully deterministic:
   D  handlers consume the C-inbox; no further emission is allowed.
 
 Messages are delivered only between radio-on topology neighbours, within
-the tick they are sent.  A sub-phase's messages are sorted once, and each
-inbox is that list cut down to the senders its receiver hears.  C and D
-run only for a protocol class that overrides their handlers, or when B
-emitted.  Radio-on sets come exclusively from scheduled policies; a tick
-counts once for energy however many policies cover it.  The message log
-(`SimTrace.messages`) is recorded only on request.
+the tick they are sent.  The topology has no self-loops, so sub-phase A
+runs only when two or more radios are on: a lone radio builds no messages,
+and its handlers run on empty inboxes.  A sub-phase's messages are sorted
+once, and each inbox is that list cut down to the senders its receiver
+hears.  C and D run only for a protocol class that overrides their
+handlers, or when B emitted.  Radio-on sets come exclusively from
+scheduled policies; a tick counts once for energy however many policies
+cover it.  The message log (`SimTrace.messages`) is recorded only on
+request.
 """
 
 import hashlib
@@ -38,7 +41,7 @@ from fractions import Fraction
 
 from .core import ConfigError, SimConfig, default_horizon, validate_config
 from . import protocols
-from .policy import PolicyString
+from .policy import PolicyString, basic_policy
 from .protocols import Message, Stage2Record  # noqa: F401  (re-exported)
 
 
@@ -190,6 +193,8 @@ class World:
                         else default_horizon(cfg.n, self.k, cfg.algorithm, span))
         self.adj = cfg.topology.adjacency()
         self.tick = 0
+        # the k-basic policy, one object shared by every processor's records
+        self.basic = None if cfg.algorithm == "naive" else basic_policy(self.k)
 
         self.trace = SimTrace(
             cfg=_cfg_echo(cfg, self.k, self.horizon),
@@ -324,6 +329,15 @@ class World:
         counts = self.trace.energy_counts
         for pid in on_sorted:
             counts[pid] += 1
+        if len(on_sorted) == 1:  # no self-loops: nobody hears a lone radio
+            p = self.procs[on_sorted[0]]
+            p.react(t, ())
+            if self._late_phases:
+                p.react2(t, ())
+                if p.absorb(t, ()):
+                    raise RuntimeError("absorb phase must not emit messages")
+            p.tick_end(t)
+            return
         procs = [self.procs[pid] for pid in on_sorted]
 
         inbox = self._exchange(t, on_sorted, [p.transmissions(t) for p in procs])

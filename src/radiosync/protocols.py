@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import ceil_log2, compute_k
-from .policy import PolicyString, basic_policy, naive_policy
+from .policy import PolicyString, naive_policy
 
 HALF = Fraction(1, 2)
 # the one-tick policy of a reschedule's report exchange
@@ -233,6 +233,8 @@ class _Proto:
         raise NotImplementedError
 
     def transmissions(self, t):
+        """Sub-phase A's messages.  It must not change state: the engine
+        skips it when no radio can hear them (a lone radio on)."""
         return []
 
     def react(self, t, inbox):
@@ -280,14 +282,13 @@ class SynchronizeProto(_Proto):
     USES_POLICY_PROGRESS = True
 
     def on_wake(self, t):
-        self.basic = basic_policy(self.k)
         self.rounds = ceil_log2(self.n)
         self.exec_no = 1
         self.stage2_tick = None
         self.stage2_clamped = False
         self.frozen_j = None
         self.set_j_anchor(t, t)
-        self.cur = self.schedule("basic", self.basic, nominal_start=t, phase=1)
+        self.cur = self.schedule("basic", self.world.basic, nominal_start=t, phase=1)
         self.cur_end = self.cur.span_end  # last tick of the current policy
 
     def transmissions(self, t):
@@ -322,7 +323,8 @@ class SynchronizeProto(_Proto):
             clamped=self.stage2_clamped,
         ))
         self.stage2_tick = None
-        rec = self.schedule("basic", self.basic, nominal_start=gstart, phase=self.exec_no)
+        rec = self.schedule("basic", self.world.basic, nominal_start=gstart,
+                            phase=self.exec_no)
         self.set_j_anchor(max(gstart, t + 1), gstart)
         self.cur, self.cur_end = rec, rec.span_end
         if rec.fully_past:
@@ -377,7 +379,7 @@ class DynamicProto(_Proto):
         self.main_ticks = set()
         k = self.k
         self.schedule("dyn-initial", PolicyString((1,) * k, k), nominal_start=t)
-        self.schedule("dyn-step5", basic_policy(k), nominal_start=t + 2 * self.n)
+        self.schedule("dyn-step5", self.world.basic, nominal_start=t + 2 * self.n)
 
     # -- message emission ----------------------------------------------------
     def transmissions(self, t):
@@ -389,7 +391,6 @@ class DynamicProto(_Proto):
             if self.q and self.q[0] == self.id:
                 out.append(self._msg(t, "pass", tuple(self.q[1:])))
             else:
-                self.flag(f"pass-without-head p{self.id} t{t}")
                 out.append(self._msg(t, "pass", tuple(x for x in self.q if x != self.id)))
         return out
 
@@ -432,6 +433,8 @@ class DynamicProto(_Proto):
             meta={"origin": origin, "slot": ell})
 
     def react(self, t, inbox):
+        if t == self.pass_tick and not (self.q and self.q[0] == self.id):
+            self.flag(f"pass-without-head p{self.id} t{t}")
         self.adopt(t, inbox)
         out = []
         r = t - self.wake + 1
@@ -518,7 +521,7 @@ class PairwiseProto(_Proto):
     USES_POLICY_PROGRESS = False
 
     def on_wake(self, t):
-        self.schedule("pairwise", basic_policy(self.k), nominal_start=t)
+        self.schedule("pairwise", self.world.basic, nominal_start=t)
 
     def transmissions(self, t):
         return [self._msg(t, "sync")]

@@ -60,6 +60,16 @@ def test_failed_check_exits_one_and_names_it(tmp_path, capsys):
     assert "sync" in err
 
 
+def test_pairwise_budget_follows_k_override(tmp_path, capsys):
+    # the policy is the k-basic one for the overridden k, so the budget is
+    # 2k = 16 on-ticks, not 2 * ceil(sqrt(n)) = 8
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(["run", "--n", "16", "--m", "4", "--algorithm", "pairwise",
+                          "--k", "8", "--check", "budget", "--out", str(out)], capsys)
+    budget = json.loads(out.read_text())["checks"]["budget"]
+    assert (code, budget["budget"], budget["max_energy"]) == (0, 16, 16)
+
+
 def test_output_bytes_are_stable(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["run", "--n", "32", "--m", "4", "--algorithm", "dynamic",

@@ -216,6 +216,32 @@ def test_receivers_are_radio_on_neighbours(topology, algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_lone_radio_builds_no_messages(monkeypatch, algorithm):
+    # a lone radio has no receiver, so its tick calls no `transmissions`;
+    # a shared tick calls it once per radio
+    cls = protocols._PROTOS[algorithm]
+    calls = []
+
+    def counted(self, t, _orig=cls.transmissions):
+        calls.append((t, self.id))
+        return _orig(self, t)
+
+    monkeypatch.setattr(cls, "transmissions", counted)
+    tr = run(SimConfig(n=16, m=4, wake_times="seeded-random", seed=5, algorithm=algorithm))
+    sizes = {len(s) for s in tr.on_sets.values()}
+    assert 1 in sizes and max(sizes) > 1
+    assert sorted(calls) == sorted((t, pid) for t, s in tr.on_sets.items()
+                                   if len(s) > 1 for pid in s)
+
+
+@pytest.mark.parametrize("algorithm", ["synchronize", "dynamic-synch", "pairwise"])
+def test_basic_policy_built_once_per_world(algorithm):
+    tr = run(SimConfig(n=16, m=4, wake_times="seeded-random", seed=5, algorithm=algorithm))
+    basics = [r.policy for r in tr.policies if r.kind in ("basic", "dyn-step5", "pairwise")]
+    assert len(basics) >= 4 and len({id(p) for p in basics}) == 1
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_integer_carry_is_int_zero(algorithm):
     tr = run(SimConfig(n=16, m=4, wake_times="seeded-random", seed=5,
                        algorithm=algorithm))
@@ -243,9 +269,12 @@ def test_zero_carry_adoption_resets_carry():
 def test_absorb_must_not_emit(monkeypatch):
     monkeypatch.setattr(protocols.DynamicProto, "absorb",
                         lambda self, t, inbox: [self._msg(t, "sync")])
-    cfg = SimConfig(n=8, m=3, wake_times=[0, 3, 5], algorithm="dynamic-synch")
-    with pytest.raises(RuntimeError, match="absorb phase must not emit"):
-        run(cfg)
+    # ticks 0-2 of wakes [0, 3, 5] have one radio on, tick 0 of [0, 0, 0] three
+    for wakes, max_ticks in (([0, 3, 5], 2), ([0, 0, 0], 0)):
+        cfg = SimConfig(n=8, m=3, wake_times=wakes, algorithm="dynamic-synch",
+                        max_ticks=max_ticks)
+        with pytest.raises(RuntimeError, match="absorb phase must not emit"):
+            run(cfg)
 
 
 def test_dropped_world_is_freed_without_the_cycle_collector():

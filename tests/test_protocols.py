@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from radiosync.core import SimConfig, ceil_log2
-from radiosync.engine import energy, run
+from radiosync.engine import World, energy, run
 from radiosync.protocols import Message, ceil_sqrt, dynamic_next, flatten_next, sync_winner
 
 
@@ -316,3 +316,23 @@ def test_queue_hand_off_receiver_is_on_and_head():
             assert head in tr.on_sets.get(t, ()), (seed, t, head)
             assert (t, head) in owns, (seed, t, head)
             assert owns[(t, head)][0] == head
+
+
+def test_pass_without_head_is_flagged_by_a_lone_radio():
+    # a lone processor at its pass tick with another id at its queue head
+    # must raise the flag although the engine builds none of its messages
+    world = World(SimConfig(n=16, m=1, wake_times=[0], algorithm="dynamic-synch"))
+    world.step()
+    p1 = world.procs[1]
+    while p1.pass_tick is None or world.tick < p1.pass_tick:
+        world.step()
+    t = world.tick
+    p1.q = [2, 1]
+    trace = world.trace
+    before = (list(trace.flags), list(trace.clock_events))
+    for _ in range(2):
+        p1.transmissions(t)
+    assert (trace.flags, trace.clock_events) == before
+    world.step()
+    assert trace.on_sets[t] == (1,)
+    assert f"pass-without-head p1 t{t}" in trace.flags
