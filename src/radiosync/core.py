@@ -141,6 +141,13 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     Returns a new, fully explicit config; raises ConfigError with a
     descriptive message on the first violated invariant.  Idempotent.
     """
+    for name, optional in (("n", False), ("m", False), ("k_override", True),
+                           ("max_ticks", True)):
+        value = getattr(cfg, name)
+        if value is None and optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an int, got {value!r}")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
     if cfg.m < 1:

@@ -4,7 +4,8 @@ Nothing happens while every radio is off, so the engine does not visit
 ticks one by one: its event loop pops instants from a heap of wakes,
 radio-on instants and the 2n audit, in that order within an instant.
 Event keys are integers, the instant times the engine's `unit` (1 here,
-finer on the fractional engine); handlers see the instant itself.
+finer on the fractional engine).  Handlers see ticks in their processor's
+own frame (protocols._Proto), which on this engine is the global tick.
 
 One tick is one communication round.  Within a radio-on tick, delivery
 runs in four sub-phases so that request/response exchanges happen inside
@@ -43,11 +44,6 @@ from .core import ConfigError, SimConfig, default_horizon, validate_config
 from . import protocols
 from .policy import PolicyString, basic_policy
 from .protocols import Message, Stage2Record  # noqa: F401  (re-exported)
-
-
-def last_slot(wake, horizon):
-    """Start of a processor's last slot at or before the horizon."""
-    return wake + math.floor(horizon - wake)
 
 
 @dataclass
@@ -236,21 +232,25 @@ class World:
     def _key(self, t):
         """The event key of time t; t must lie on the 1/unit grid."""
         key = t * self.unit
-        if key % 1:
+        if key.denominator != 1:
             raise ValueError(f"time {t} is not a multiple of 1/{self.unit}")
         return int(key)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, owner, kind, policy, nominal_start, phase, meta):
+        """Lay down `policy` from the owner's local tick `nominal_start`; the
+        record is in global time, radio-on from the next tick (from this one
+        in the wake hook)."""
         if not policy.bits or policy.bits[-1] != 1:
             raise ValueError("policy strings must end with an on-tick")
+        proto = self.procs[owner]
         effective = self.tick if self._in_wake_hook else self.tick + 1
         rec = PolicyRecord(owner=owner, kind=kind, policy=policy,
-                           nominal_start=nominal_start, effective_from=effective,
+                           nominal_start=nominal_start + proto.phi, effective_from=effective,
                            phase=phase, meta=meta)
         self.trace.policies.append(rec)
         unit, on_map = self.unit, self._on_map
-        base, lo = self._key(nominal_start), self._key(effective)
+        base, lo = self._key(nominal_start) + proto.off, self._key(effective)
         end = (self.horizon + 1) * unit
         for pos in policy.one_positions:
             g = base + pos * unit
@@ -277,6 +277,7 @@ class World:
             self._settled = t
 
     def _wake(self, t, pid):
+        """Wake pid at its local tick t."""
         proto = self.procs[pid]
         proto.wake = t
         self._awake.add(pid)
@@ -289,9 +290,9 @@ class World:
         self._settle(self.horizon + 1)
         self.trace.sync_complete_tick = None if self._unequal else self._last_unequal + 1
         for pid, proto in self.procs.items():
-            if proto._delta is not None:
-                self.trace.final_clocks[pid] = (
-                    last_slot(proto.wake, self.horizon) + proto._delta, proto.q_frac)
+            if proto._delta is not None:  # clock at the owner's last tick
+                last = math.floor(self.horizon - proto.phi)
+                self.trace.final_clocks[pid] = (proto.tau(last), proto.q_frac)
         return self.trace
 
     # -- event loop ----------------------------------------------------------
@@ -311,13 +312,20 @@ class World:
         while events and events[0][0] < end:
             key, kind, owner = heapq.heappop(events)
             self._settle(key // unit)
-            self.tick = instant = key if unit == 1 else Fraction(key, unit)
+            if kind == 2:  # a slot close runs at its slot's start, not at this instant
+                self._slot_close(key, owner)
+                continue
+            if unit == 1:
+                instant = key
+            elif key % unit:
+                instant = Fraction(key, unit)
+            else:  # an integral instant on the fractional engine
+                instant = key // unit
+            self.tick = instant
             if kind == 0:
                 self._wake(instant, owner)
             elif kind == 1:
                 self._on_instant(key, instant)
-            elif kind == 2:
-                self._slot_close(instant, owner)
             else:
                 for pid in sorted(self._awake):
                     self.procs[pid].audit(instant)

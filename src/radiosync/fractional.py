@@ -14,18 +14,26 @@ is how the engine detects synchronization and what the acceptance suite
 asserts.  With all-integer offsets every slot aligns, q stays 0, and the
 run projects tick-for-tick onto the integer engine.
 
-All arithmetic is exact (fractions.Fraction); no floats.
+All arithmetic is exact (fractions.Fraction); no floats.  Protocols run
+on integer ticks in each processor's own frame (global time minus the
+fractional part of its wake, see protocols._Proto), so Fractions appear
+only in the carries q and q' and in trace records, which are kept in
+global time.
 """
 
 import heapq
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from .core import ConfigError
-from .engine import SimTrace, World, last_slot
-from .protocols import HALF
+from .engine import SimTrace, World
+from .protocols import HALF, Message
 from .protocols import adopt_fractional  # noqa: F401  (this mode's carry rule)
+
+
+def last_slot(wake, horizon):
+    """Start of a processor's last slot at or before the horizon."""
+    return wake + math.floor(horizon - wake)
 
 
 def overlap_fraction(u_on, v_on):
@@ -56,7 +64,7 @@ class FracWorld(World):
 
     It shares the integer engine's state and event loop (set-up, scheduling,
     clock and synchronization bookkeeping) and replaces only the handling
-    of a radio-on instant.  Every slot start and every slot close lies on
+    of a wake and of a radio-on instant.  Every slot start and every slot close lies on
     the grid of 1/unit with unit = 2 * lcm(wake denominators), so event
     keys stay integers.  Within an instant, wakes come first, then
     slot-start exchanges (`_on_instant`), then slot closes half a unit after
@@ -69,14 +77,22 @@ class FracWorld(World):
     and its adoptions, so each slot's messages are built once per instant,
     when a pair first needs them.  A close runs `react` and `tick_end` only:
     the queue protocol, the one class with later sub-phases, is rejected.
-    Protocol handlers are the same classes the integer engine drives; they
-    see their own grid instants as "global ticks" (their local arithmetic
-    only ever adds integers).
+
+    Protocol handlers are the same classes the integer engine drives.  Each
+    processor's slots start at key `t * unit + off` for integer local ticks
+    t, off being its wake's fractional part in keys; handlers get
+    `(key - off) // unit`, and a delivered message's q' comes from the
+    difference of two slot-start keys.
     """
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self._slots: dict[int, tuple] = {}  # open slot: pid -> (key, instant, inbox)
+        for pid, w in enumerate(self.cfg.wake_times, start=1):
+            phi = w - math.floor(w)
+            if phi:
+                proto = self.procs[pid]
+                proto.phi, proto.off = phi, int(phi * self.unit)
 
     def _time_unit(self, cfg):
         if not cfg.fractional:
@@ -88,10 +104,14 @@ class FracWorld(World):
         return 2 * math.lcm(*(w.denominator for w in cfg.wake_times))
 
     # event handlers ----------------------------------------------------------
+    def _wake(self, instant, pid):
+        super()._wake(math.floor(instant), pid)  # a wake's local tick: its integer part
+
     def _on_instant(self, key, instant):
         """Slot starts: account energy and exchange with overlapping slots."""
         starters = sorted(self._on_map.pop(key))
-        close = key + self.unit // 2
+        unit, procs = self.unit, self.procs
+        close = key + unit // 2
         for pid in starters:
             self.trace.energy_counts[pid] += 1
             self._slots[pid] = (key, instant, [])
@@ -103,28 +123,34 @@ class FracWorld(World):
         deliveries: dict[int, list] = {}
         for pid in starters:
             adj = self.adj[pid]
-            for nb, (s_key, s_nb, _) in open_slots:
+            for nb, (s_key, _, _) in open_slots:
                 if nb not in adj or (s_key == key and nb < pid):  # both start now: once
                     continue
-                for tx, s_tx, rx, qp in ((nb, s_nb, pid, instant - s_nb),
-                                         (pid, instant, nb, s_nb - instant)):
-                    if tx not in beacons:
-                        beacons[tx] = self.procs[tx].transmissions(s_tx)
+                d = key - s_key  # nb's slot started d keys before pid's
+                qp = Fraction(d, unit) if d else 0
+                for tx, tx_key, rx, rx_qp in ((nb, s_key, pid, qp), (pid, key, nb, -qp)):
+                    out = beacons.get(tx)
+                    if out is None:
+                        proto = procs[tx]
+                        out = beacons[tx] = proto.transmissions((tx_key - proto.off) // unit)
                     deliveries.setdefault(rx, []).extend(
-                        replace(msg, qp=qp) for msg in beacons[tx])
+                        Message(m.kind, m.sender, m.tau, m.j, m.payload, m.q, rx_qp)
+                        for m in out)
         for pid in sorted(deliveries):
             msgs = sorted(deliveries[pid],
                           key=lambda m: (m.sender, m.kind, m.payload))
-            _, s, inbox = self._slots[pid]
+            s_key, _, inbox = self._slots[pid]
             inbox.extend(msgs)
-            self.procs[pid].adopt(s, msgs)
+            proto = procs[pid]
+            proto.adopt((s_key - proto.off) // unit, msgs)
 
-    def _slot_close(self, instant, pid):
-        _, s, inbox = self._slots.pop(pid)
+    def _slot_close(self, close_key, pid):
+        key, s, inbox = self._slots.pop(pid)
         self.tick = s
         proto = self.procs[pid]
-        proto.react(s, inbox)
-        proto.tick_end(s)
+        t = (key - proto.off) // self.unit
+        proto.react(t, inbox)
+        proto.tick_end(t)
 
 
 def run_fractional(cfg) -> SimTrace:

@@ -21,6 +21,13 @@ cluster).  In the other algorithms every policy starts at wake, so the
 counter coincides with the clock itself; messages carry the clock in the
 progress field.  In fractional mode the adopted clock carries a sub-unit
 offset q as well (adopt_fractional).
+
+Handlers run in their processor's own frame: every time they see, store or
+send is an int tick, global time minus `phi`, the fractional part of the
+processor's wake (0 on the integer engine and for integral wakes).  Clock
+values and progress counters do not depend on the frame.  Trace records
+(clock events, reschedules, edge contacts, policy records) are written in
+global time, local tick + phi; only the carries q and qp are Fractions.
 """
 
 import bisect
@@ -65,7 +72,8 @@ def base_policy_span(cfg, k: int) -> int:
 
 @dataclass
 class Message:
-    """A delivered message.  Every message piggybacks the sender's (tau, j).
+    """A delivered message.  Every message piggybacks the sender's (tau, j),
+    both ints.
 
     q is the sender's sub-unit clock offset and qp the receiver-specific
     slot-start difference; both stay the integer 0 on the integer engine.
@@ -122,15 +130,15 @@ def sync_winner(j, pid, inbox):
 
 def adopt_fractional(tau_v, q_v, qp):
     """Clock adoption with carry: returns the normalized (tau, q) pair."""
-    tau = tau_v
     q = q_v + qp
-    if q > HALF:
-        tau += 1
-        q -= 1
-    elif q < -HALF:
-        tau -= 1
-        q += 1
-    return tau, q
+    # q > 1/2 iff 2 * numerator > denominator: exact, and two int
+    # comparisons cost far less than two Fraction comparisons
+    twice, den = 2 * q.numerator, q.denominator
+    if twice > den:
+        return tau_v + 1, q - 1
+    if twice < -den:
+        return tau_v - 1, q + 1
+    return tau_v, q
 
 
 def flatten_next(n: int, tau: int, len_c: int, ell: int, mu: int, k: int) -> int:
@@ -154,7 +162,16 @@ def dynamic_next(k: int, candidate: bool, winner: bool, ell: int, dif: int) -> i
 class _Proto:
     """One processor: its clock, its progress counter and its trace hooks,
     with do-nothing handlers so each algorithm overrides only what it uses.
-    The owning world is held by weak proxy, so a dropped world is freed."""
+    The owning world is held by weak proxy, so a dropped world is freed.
+
+    Ticks are local (see the module docstring): `phi` is the processor's
+    offset from the integer grid and `off` the same offset in event keys
+    (phi * world.unit); the fractional engine sets both for a wake off the
+    grid.
+    """
+
+    phi = 0
+    off = 0
 
     def __init__(self, world, pid):
         self.world = weakref.proxy(world)
@@ -163,7 +180,7 @@ class _Proto:
         self.n, self.k = world.n, world.k
         self.edge_count = len(world.cfg.topology.edges)
         self.wake = None
-        self._delta = None  # tau(t) = t + delta
+        self._delta = None  # tau(t) = t + delta, t local
         self._jsteps = []  # [(effective_tick, jdelta)], strictly ascending
         self.q_frac = 0
 
@@ -183,7 +200,6 @@ class _Proto:
         a peer's on adoption, with the peer's carry (q_v, q_prime)."""
         old = self._delta
         old_q = self.q_frac
-        old_key = None if old is None else old + old_q
         if q_v or q_prime:
             tau_v, self.q_frac = adopt_fractional(tau_v, q_v, q_prime)
         elif q_v is not None:
@@ -192,8 +208,11 @@ class _Proto:
         if j_v is not None:
             self._push_jstep(t, j_v - t)
         if self._delta != old or self.q_frac != old_q:
-            self.world._clock_change(self.id, old_key, self._delta + self.q_frac)
-            self.trace.clock_events.append((t, self.id, self.tau(t), self.q_frac))
+            # the engine compares global deltas: delta - phi, plus the carry
+            phi = self.phi
+            self.world._clock_change(self.id, None if old is None else old - phi + old_q,
+                                     self._delta - phi + self.q_frac)
+            self.trace.clock_events.append((t + phi, self.id, self.tau(t), self.q_frac))
 
     def _push_jstep(self, eff, val):
         while self._jsteps and self._jsteps[-1][0] >= eff:
@@ -205,7 +224,8 @@ class _Proto:
         self._push_jstep(effective_tick, -nominal_start)
 
     def schedule(self, kind, policy, nominal_start, phase=None, meta=None):
-        """Lay down a PolicyString starting at global tick nominal_start."""
+        """Lay down a PolicyString starting at local tick nominal_start; the
+        returned record is in global time."""
         return self.world._schedule(self.id, kind, policy, nominal_start,
                                     phase, meta or {})
 
@@ -226,7 +246,7 @@ class _Proto:
             other = msg.sender
             key = (me, other) if me < other else (other, me)
             if key not in contacts:
-                contacts[key] = (t, msg.tau - tau)
+                contacts[key] = (t + self.phi, msg.tau - tau)
 
     # handlers ---------------------------------------------------------------
     def on_wake(self, t):
@@ -288,8 +308,8 @@ class SynchronizeProto(_Proto):
         self.stage2_clamped = False
         self.frozen_j = None
         self.set_j_anchor(t, t)
-        self.cur = self.schedule("basic", self.world.basic, nominal_start=t, phase=1)
-        self.cur_end = self.cur.span_end  # last tick of the current policy
+        self.schedule("basic", self.world.basic, nominal_start=t, phase=1)
+        self.cur_end = t + len(self.world.basic) - 1  # last tick of the current policy
 
     def transmissions(self, t):
         out = [self._msg(t, "sync")]
@@ -316,37 +336,38 @@ class SynchronizeProto(_Proto):
         return []
 
     def _start_execution(self, t, gstart, next_local, ids, len_c, ell, mu):
+        phi = self.phi
         self.trace.stage2.append(Stage2Record(
-            owner=self.id, tick=t, frozen_j=self.frozen_j, member_ids=tuple(ids),
+            owner=self.id, tick=t + phi, frozen_j=self.frozen_j, member_ids=tuple(ids),
             len_c=len_c, ell=ell, mu=mu, next_local=next_local,
-            next_global=gstart, phase=self.exec_no - 1,
+            next_global=gstart + phi, phase=self.exec_no - 1,
             clamped=self.stage2_clamped,
         ))
         self.stage2_tick = None
-        rec = self.schedule("basic", self.world.basic, nominal_start=gstart,
-                            phase=self.exec_no)
+        self.schedule("basic", self.world.basic, nominal_start=gstart, phase=self.exec_no)
         self.set_j_anchor(max(gstart, t + 1), gstart)
-        self.cur, self.cur_end = rec, rec.span_end
-        if rec.fully_past:
-            # never radio-on, so no adoption: J at completion is the span
-            self.frozen_j = rec.span_end - rec.nominal_start
-            self._after_completion(t, rec)
+        self.cur_end = gstart + len(self.world.basic) - 1
+        if self.cur_end < t + 1:
+            # fully past (radio-on from t + 1 only), so no adoption: J at
+            # completion is the span
+            self.frozen_j = self.cur_end - gstart
+            self._after_completion(t, fully_past=True)
 
     def tick_end(self, t):
         if t == self.cur_end:  # None after the last policy and between policies
             self.frozen_j = self.j(t)
-            self._after_completion(t, self.cur)
+            self._after_completion(t)
 
-    def _after_completion(self, t, rec):
+    def _after_completion(self, t, fully_past=False):
         if self.exec_no > self.rounds:
-            self.cur = self.cur_end = None
+            self.cur_end = None
             return
-        natural = rec.span_end + 2 * self.n - self.frozen_j
+        natural = self.cur_end + 2 * self.n - self.frozen_j
         self.stage2_tick = max(natural, t + 1)
-        self.stage2_clamped = self.stage2_tick != natural or rec.fully_past
+        self.stage2_clamped = self.stage2_tick != natural or fully_past
         self.schedule("stage2", STAGE2_POLICY, nominal_start=self.stage2_tick,
                       phase=self.exec_no)
-        self.cur = self.cur_end = None
+        self.cur_end = None
 
 
 class DynamicProto(_Proto):

@@ -99,6 +99,17 @@ def test_malformed_fractional_wake_rejected(bad):
         validate_config(SimConfig(n=4, m=2, wake_times=["0", bad], fractional=True))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k_override", 2.5), ("max_ticks", 10.5), ("n", "8"), ("n", True), ("n", 8.5),
+    ("m", 2.0), ("m", None), ("max_ticks", False),
+])
+def test_integer_fields_must_be_ints(field, value):
+    # each once ran, or failed with another exception than ConfigError
+    cfg = SimConfig(**{"n": 8, "m": 2, field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be an int"):
+        validate_config(cfg)
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ConfigError, match="algorithm"):
         validate_config(SimConfig(n=4, m=1, wake_times=[0], algorithm="bogus"))

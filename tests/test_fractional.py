@@ -239,3 +239,46 @@ def test_each_slot_transmits_once_per_instant(algorithm, monkeypatch):
                 for p in starters:
                     met[(inst, p)] += sum(q != p for q in others)
     assert max(met.values()) >= 2
+
+
+class _FrameLog(FracWorld):
+    """Collects, at every slot close, the closing processor's inbox and
+    clock state, and every local tick a policy is scheduled at."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.ticks, self.carries = [], []
+
+    def _schedule(self, owner, kind, policy, nominal_start, phase, meta):
+        self.ticks.append(nominal_start)
+        return super()._schedule(owner, kind, policy, nominal_start, phase, meta)
+
+    def _slot_close(self, close_key, pid):
+        inbox = self._slots[pid][2]
+        super()._slot_close(close_key, pid)
+        proto = self.procs[pid]
+        self.ticks += [proto._delta, *(x for step in proto._jsteps for x in step)]
+        self.ticks += [x for x in (getattr(proto, "stage2_tick", None),
+                                   getattr(proto, "cur_end", None)) if x is not None]
+        for msg in inbox:
+            self.ticks += [msg.tau, msg.j]
+            self.carries += [msg.q, msg.qp]
+        self.carries.append(proto.q_frac)
+
+
+@pytest.mark.parametrize("algorithm", ["synchronize", "naive", "pairwise"])
+def test_protocols_run_on_integer_local_ticks(algorithm):
+    # wakes off the integer grid: handlers still see, store and send ints
+    # only; the carries are the one place a Fraction remains
+    rng = random.Random(4)
+    wakes = [Fraction(rng.randint(0, 32 * 8), 8) for _ in range(6)]
+    cfg = SimConfig(n=32, m=6, wake_times=wakes, algorithm=algorithm, fractional=True)
+    world = _FrameLog(cfg)
+    trace = world.run()
+    assert trace.digest() == run_fractional(cfg).digest()
+    assert any(proto.phi for proto in world.procs.values())
+    assert len(world.ticks) > 100
+    assert all(type(t) is int for t in world.ticks)
+    assert any(type(q) is Fraction and q != 0 for q in world.carries)
+    if algorithm == "synchronize":
+        assert trace.stage2 and all(type(r.frozen_j) is int for r in trace.stage2)

@@ -6,8 +6,13 @@ pairwise on multi-hop topologies, k_override and max_ticks, and the
 fractional engine with rational and with integral wakes: naive and
 pairwise on multi-hop topologies with wake denominators 1-10, and one
 synchronize config with wake denominators 7, 9, 11 and 13 (a fine time
-base).  A digest may
-change only with an intended change of behaviour, named in CHANGES.md.
+base).  Fractional synchronize is also pinned with max_ticks cutting a run
+short, with k_override reschedules that are clamped or fully past, and at
+the scale point n=1024 m=64 (eighth-unit wakes); naive and pairwise with
+wakes that all share one non-zero fractional part (integral once
+normalized to an earliest wake of 0), and with every wake but the earliest
+at one fractional part.  A digest may change only with an intended change
+of behaviour, named in CHANGES.md.
 """
 
 import json
@@ -40,3 +45,25 @@ def test_golden_digest(case):
     cfg = _config(case["config"])
     trace = run_fractional(cfg) if cfg.fractional else run(cfg)
     assert trace.digest() == case["digest"]
+
+
+def _case(case_id):
+    return next(c for c in CASES if c["id"] == case_id)
+
+
+@pytest.mark.parametrize("case_id, clamped, fully_past", [
+    ("fractional-synchronize-n16-m4-k3-clamped", 1, 0),
+    ("fractional-synchronize-n4-m8-k8-fully-past", 9, 2),
+])
+def test_k_override_cases_reach_the_clamped_branches(case_id, clamped, fully_past):
+    # the pinned k_override configs exercise the reschedule paths that
+    # start late (clamped) or wholly in the past
+    trace = run_fractional(_config(_case(case_id)["config"]))
+    assert sum(rec.clamped for rec in trace.stage2) == clamped
+    assert sum(rec.fully_past for rec in trace.policies) == fully_past
+
+
+def test_max_ticks_case_cuts_the_run_short():
+    trace = run_fractional(_config(_case("fractional-synchronize-n32-m6-max150")["config"]))
+    assert trace.horizon == 150 and trace.stage2
+    assert any(rec.nominal_start <= 150 < rec.span_end for rec in trace.policies)
