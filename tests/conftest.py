@@ -3,7 +3,9 @@
 The exhaustive sweep pins processor 1 at wake 0 and enumerates the rest,
 (n+1)^(m-1) vectors per (n, m) pair; the random sweep draws 500 seeded
 vectors mixing sizes up to the stated maxima.  Traces are simulated once
-per algorithm and shared by the criteria that assert on them.
+per algorithm and shared by the criteria that assert on them; their
+digests are taken once too (`sweep_digests`), for criterion 10 and for the
+cross-commit pins (test_golden_digests.py).
 """
 
 import itertools
@@ -69,3 +71,11 @@ def dyn_exhaustive():
 @pytest.fixture(scope="session")
 def dyn_random():
     return _simulate("dynamic-synch", random_configs())
+
+
+@pytest.fixture(scope="session")
+def sweep_digests(sync_exhaustive, sync_random, dyn_exhaustive, dyn_random):
+    """Each sweep fixture's trace digests, in config order, keyed by name."""
+    fixtures = {"sync_exhaustive": sync_exhaustive, "sync_random": sync_random,
+                "dyn_exhaustive": dyn_exhaustive, "dyn_random": dyn_random}
+    return {name: [tr.digest() for _key, tr in traces] for name, traces in fixtures.items()}

@@ -156,17 +156,18 @@ def test_criterion_09_multi_hop_baseline():
            f"total={rep['total_energy']} expected={expected}")
 
 
-def test_criterion_10_determinism(sync_exhaustive, sync_random,
-                                  dyn_exhaustive, dyn_random, tmp_path, capsys):
+def test_criterion_10_determinism(sync_exhaustive, sync_random, dyn_exhaustive,
+                                  dyn_random, sweep_digests, tmp_path, capsys):
     mismatches = 0
-    # re-simulate every sweep configuration and compare full trace digests
-    for alg, cached in (("synchronize", sync_exhaustive),
-                        ("synchronize", sync_random),
-                        ("dynamic-synch", dyn_exhaustive),
-                        ("dynamic-synch", dyn_random)):
-        for (n, m, wakes), tr in cached:
+    # re-simulate every sweep configuration and compare its full trace
+    # digest with the cached trace's, taken once per session (sweep_digests)
+    for alg, name, cached in (("synchronize", "sync_exhaustive", sync_exhaustive),
+                              ("synchronize", "sync_random", sync_random),
+                              ("dynamic-synch", "dyn_exhaustive", dyn_exhaustive),
+                              ("dynamic-synch", "dyn_random", dyn_random)):
+        for ((n, m, wakes), _tr), digest in zip(cached, sweep_digests[name], strict=True):
             again = run(SimConfig(n=n, m=m, wake_times=list(wakes), algorithm=alg))
-            if again.digest() != tr.digest():
+            if again.digest() != digest:
                 mismatches += 1
     # fractional re-run
     wakes = [Fraction(0), Fraction(7, 2), Fraction(12), Fraction(55, 4)]

@@ -11,10 +11,15 @@ short, with k_override reschedules that are clamped or fully past, and at
 the scale point n=1024 m=64 (eighth-unit wakes); naive and pairwise with
 wakes that all share one non-zero fractional part (integral once
 normalized to an earliest wake of 0), and with every wake but the earliest
-at one fractional part.  A digest may change only with an intended change
-of behaviour, named in CHANGES.md.
+at one fractional part.
+
+The four acceptance-sweep fixtures (conftest.py, 19,400 traces) are pinned
+as well: sweep_digests.json holds one sha256 over each fixture's ordered
+digests.  A digest may change only with an intended change of behaviour,
+named in CHANGES.md.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +31,9 @@ from radiosync.core import SimConfig
 from radiosync.engine import run
 from radiosync.fractional import run_fractional
 
-CASES = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+HERE = Path(__file__).parent
+CASES = json.loads((HERE / "golden_digests.json").read_text())
+SWEEP_PINS = json.loads((HERE / "sweep_digests.json").read_text())
 
 
 def _config(spec) -> SimConfig:
@@ -45,6 +52,14 @@ def test_golden_digest(case):
     cfg = _config(case["config"])
     trace = run_fractional(cfg) if cfg.fractional else run(cfg)
     assert trace.digest() == case["digest"]
+
+
+@pytest.mark.parametrize("fixture", sorted(SWEEP_PINS))
+def test_sweep_pin(fixture, sweep_digests):
+    digests = sweep_digests[fixture]
+    pin = SWEEP_PINS[fixture]
+    assert len(digests) == pin["configs"]
+    assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == pin["sha256"]
 
 
 def _case(case_id):
