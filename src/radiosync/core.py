@@ -46,15 +46,6 @@ class Topology:
             if not (1 <= u < v <= self.m):
                 raise ConfigError(f"bad edge ({u},{v}) for m={self.m}")
 
-    def neighbors(self, u: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == u:
-                out.add(b)
-            elif b == u:
-                out.add(a)
-        return out
-
     def adjacency(self) -> dict[int, frozenset[int]]:
         adj: dict[int, set[int]] = {i: set() for i in range(1, self.m + 1)}
         for a, b in self.edges:
@@ -148,6 +139,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             continue
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name} must be an int, got {value!r}")
+    if not isinstance(cfg.fractional, bool):
+        raise ConfigError(f"fractional must be a bool, got {cfg.fractional!r}")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
     if cfg.m < 1:

@@ -7,6 +7,16 @@ Event keys are integers, the instant times the engine's `unit` (1 here,
 finer on the fractional engine).  Handlers see ticks in their processor's
 own frame (protocols._Proto), which on this engine is the global tick.
 
+Most radio-on ticks have one radio on, and for most protocols such a lone
+tick changes nothing.  When every processor's class declares its lone
+ticks inert (protocols._Proto.LONE_TICKS_INERT), this engine gives them no
+event: `_schedule` records a tick's first radio straight into the trace
+(its on-set and energy count), and the tick becomes a radio-on event only
+when a second radio joins it or its owner asks for it (`alarm`).  Lone
+ticks of inert protocols are thus recorded at schedule time and never
+visited.  The queue protocol, and the fractional engine, visit every
+radio-on tick.
+
 One tick is one communication round.  Within a radio-on tick, delivery
 runs in four sub-phases so that request/response exchanges happen inside
 a single tick (matching the round structure of the protocol handlers)
@@ -36,7 +46,7 @@ import hashlib
 import heapq
 import json
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -117,6 +127,8 @@ class SimTrace:
     horizon: int
     wakes: list
     policies: list = field(default_factory=list)
+    # tick -> sorted radio-on ids; with lone ticks skipped (World) those
+    # enter when scheduled, so the dict need not be in tick order
     on_sets: dict = field(default_factory=dict)
     # (tick, owner, tau, q), each owner's in non-decreasing tick order.  The
     # whole list is too on the integer engine, not on the fractional one: it
@@ -173,7 +185,11 @@ class World:
     the kind breaks same-instant ties: 0 wake, 1 radio-on instant, 2 slot
     close (pushed only by the fractional engine, fractional.FracWorld), 3
     the 2n audit.  `_on_map` holds the radio-on set of each pending key.
-    The fractional engine overrides only `_time_unit` and the handlers.
+    With `_skip_lone` (unit 1 and every protocol class inert on lone ticks,
+    see the module docstring), a pending key with one radio on has no
+    event and no `_on_map` entry: it is already in `trace.on_sets` and
+    `trace.energy_counts`.  The fractional engine overrides only
+    `_time_unit` and the handlers.
     """
 
     def __init__(self, cfg: SimConfig, record_messages: bool = False):
@@ -200,7 +216,7 @@ class World:
         )
         self.trace.energy_counts = {i: 0 for i in range(1, self.m + 1)}
 
-        self._on_map: dict = defaultdict(set)
+        self._on_map: dict[int, set] = {}
         self._events = [(self._key(w), 0, pid) for pid, w in enumerate(cfg.wake_times, start=1)]
         self._events.append((2 * self.n * self.unit, 3, 0))
         heapq.heapify(self._events)
@@ -208,8 +224,10 @@ class World:
         self.procs = {i: protocols.make_protocol(cfg.algorithm, self, i)
                       for i in range(1, self.m + 1)}
         base = protocols._Proto
+        classes = {type(p) for p in self.procs.values()}
         self._late_phases = any(cls.react2 is not base.react2 or cls.absorb is not base.absorb
-                                for cls in {type(p) for p in self.procs.values()})
+                                for cls in classes)
+        self._skip_lone = self.unit == 1 and all(cls.LONE_TICKS_INERT for cls in classes)
         self._awake: set[int] = set()
         self._in_wake_hook = False
 
@@ -249,16 +267,47 @@ class World:
                            nominal_start=nominal_start + proto.phi, effective_from=effective,
                            phase=phase, meta=meta)
         self.trace.policies.append(rec)
-        unit, on_map = self.unit, self._on_map
+        unit, on_map, events = self.unit, self._on_map, self._events
         base, lo = self._key(nominal_start) + proto.off, self._key(effective)
         end = (self.horizon + 1) * unit
+        lone = self.trace.on_sets if self._skip_lone else None
+        alone = (owner,)
+        counts = self.trace.energy_counts
         for pos in policy.one_positions:
             g = base + pos * unit
             if lo <= g < end:
-                if g not in on_map:  # first radio-on slot at g
-                    heapq.heappush(self._events, (g, 1, 0))
-                on_map[g].add(owner)
+                on = on_map.get(g)
+                if on is not None:
+                    on.add(owner)
+                elif lone is None:  # first radio-on slot at g
+                    on_map[g] = {owner}
+                    heapq.heappush(events, (g, 1, 0))
+                else:
+                    first = lone.setdefault(g, alone)
+                    if first is alone:  # a lone tick, recorded now
+                        counts[owner] += 1
+                    elif first != alone:  # a second radio: g needs its event
+                        self._promote(g)
+                        on_map[g].add(owner)
         return rec
+
+    def _promote(self, g):
+        """Give the pending lone key g its radio-on event: withdraw the
+        tick's eager on-set and energy count."""
+        (owner,) = self.trace.on_sets.pop(g)
+        self.trace.energy_counts[owner] -= 1
+        self._on_map[g] = {owner}
+        heapq.heappush(self._events, (g, 1, 0))
+
+    def alarm(self, pid, t):
+        """Have tick t visited even if pid's radio is on alone there.  Does
+        nothing unless lone ticks are skipped and t is pid's pending lone
+        tick: not yet reached, within the horizon, with no event.  (Lone
+        ticks are skipped only when unit is 1, where a tick is its key.)"""
+        first = self.tick if self._in_wake_hook else self.tick + 1
+        if (self._skip_lone and t >= first and t not in self._on_map
+                and self.trace.on_sets.get(t) == (pid,)):
+            self._promote(t)
 
     # -- clock bookkeeping ---------------------------------------------------
     def _clock_change(self, pid, old_delta, new_delta):
@@ -301,7 +350,11 @@ class World:
         return self._finish()
 
     def step(self):
-        """Advance one tick: handle every event queued before the next one."""
+        """Advance one tick: handle every event queued before the next one.
+
+        With lone ticks skipped, a mid-run trace already holds the lone
+        ticks scheduled so far in `on_sets` and `energy_counts`, future ones
+        included."""
         nxt = self.tick + 1
         self._handle_events_before(nxt)
         self.tick = nxt

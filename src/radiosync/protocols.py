@@ -168,10 +168,18 @@ class _Proto:
     offset from the integer grid and `off` the same offset in event keys
     (phi * world.unit); the fractional engine sets both for a wake off the
     grid.
+
+    A class sets LONE_TICKS_INERT to promise that on a tick where its radio
+    is the only one on, `react` on an empty inbox and `tick_end` change no
+    state and record nothing, except on the ticks it names with
+    `world.alarm(id, t)`.  The integer engine then records such a tick
+    without visiting it (see engine.World); an alarm, made once t is
+    scheduled radio-on, has local tick t visited anyway.
     """
 
     phi = 0
     off = 0
+    LONE_TICKS_INERT = False
 
     def __init__(self, world, pid):
         self.world = weakref.proxy(world)
@@ -300,6 +308,8 @@ class SynchronizeProto(_Proto):
     """
 
     USES_POLICY_PROGRESS = True
+    # a lone tick changes state only at stage2_tick and cur_end: both alarmed
+    LONE_TICKS_INERT = True
 
     def on_wake(self, t):
         self.rounds = ceil_log2(self.n)
@@ -310,6 +320,7 @@ class SynchronizeProto(_Proto):
         self.set_j_anchor(t, t)
         self.schedule("basic", self.world.basic, nominal_start=t, phase=1)
         self.cur_end = t + len(self.world.basic) - 1  # last tick of the current policy
+        self.world.alarm(self.id, self.cur_end)
 
     def transmissions(self, t):
         out = [self._msg(t, "sync")]
@@ -352,6 +363,8 @@ class SynchronizeProto(_Proto):
             # completion is the span
             self.frozen_j = self.cur_end - gstart
             self._after_completion(t, fully_past=True)
+        else:
+            self.world.alarm(self.id, self.cur_end)
 
     def tick_end(self, t):
         if t == self.cur_end:  # None after the last policy and between policies
@@ -367,6 +380,7 @@ class SynchronizeProto(_Proto):
         self.stage2_clamped = self.stage2_tick != natural or fully_past
         self.schedule("stage2", STAGE2_POLICY, nominal_start=self.stage2_tick,
                       phase=self.exec_no)
+        self.world.alarm(self.id, self.stage2_tick)
         self.cur_end = None
 
 
@@ -521,6 +535,7 @@ class NaiveProto(_Proto):
     """Always-on baseline: n+1 consecutive on-ticks, early-sync adoption."""
 
     USES_POLICY_PROGRESS = False
+    LONE_TICKS_INERT = True  # an empty inbox records and adopts nothing
 
     def on_wake(self, t):
         self.schedule("naive", naive_policy(self.n), nominal_start=t)
@@ -540,6 +555,7 @@ class PairwiseProto(_Proto):
     Clocks are never adjusted."""
 
     USES_POLICY_PROGRESS = False
+    LONE_TICKS_INERT = True  # an empty inbox records nothing
 
     def on_wake(self, t):
         self.schedule("pairwise", self.world.basic, nominal_start=t)

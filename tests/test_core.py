@@ -110,6 +110,14 @@ def test_integer_fields_must_be_ints(field, value):
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("value", ["no", 1, 0, None])
+def test_fractional_must_be_a_bool(value):
+    # "no" once ran the fractional engine and wrote "no" into the digest
+    cfg = SimConfig(n=4, m=2, wake_times=[0, 1], algorithm="naive", fractional=value)
+    with pytest.raises(ConfigError, match="fractional must be a bool"):
+        validate_config(cfg)
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ConfigError, match="algorithm"):
         validate_config(SimConfig(n=4, m=1, wake_times=[0], algorithm="bogus"))
@@ -140,4 +148,4 @@ def test_topology_helpers():
     t = complete_topology(4)
     assert len(t.edges) == 6
     assert t.is_complete
-    assert t.neighbors(2) == {1, 3, 4}
+    assert t.adjacency()[2] == {1, 3, 4}
