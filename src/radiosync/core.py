@@ -133,7 +133,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     descriptive message on the first violated invariant.  Idempotent.
     """
     for name, optional in (("n", False), ("m", False), ("k_override", True),
-                           ("max_ticks", True)):
+                           ("max_ticks", True), ("seed", False)):
         value = getattr(cfg, name)
         if value is None and optional:
             continue
@@ -141,6 +141,11 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             raise ConfigError(f"{name} must be an int, got {value!r}")
     if not isinstance(cfg.fractional, bool):
         raise ConfigError(f"fractional must be a bool, got {cfg.fractional!r}")
+    if not isinstance(cfg.wake_times, (list, tuple, str)):
+        raise ConfigError("wake_times must be a list, a tuple or a generator name,"
+                          f" got {cfg.wake_times!r}")
+    if not isinstance(cfg.topology, (Topology, str)):
+        raise ConfigError(f"topology must be a Topology or 'complete', got {cfg.topology!r}")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
     if cfg.m < 1:

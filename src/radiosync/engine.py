@@ -49,6 +49,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps' str escape
 
 from .core import ConfigError, SimConfig, default_horizon, validate_config
 from . import protocols
@@ -144,6 +145,8 @@ class SimTrace:
     final_clocks: dict = field(default_factory=dict)  # owner -> (tau, q) at horizon
 
     def deterministic_view(self) -> dict:
+        """The trace as JSON data; its sorted-key JSON defines digest().
+        `cfg` is the trace's own dict, not a copy."""
         return {
             "cfg": self.cfg,
             "horizon": str(self.horizon),
@@ -167,8 +170,61 @@ class SimTrace:
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.deterministic_view(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """sha256 of `json.dumps(self.deterministic_view(), sort_keys=True)`.
+
+        Those bytes are written here straight from the fields, without the
+        view's dict per record, list per radio-on tick and key per tick;
+        tests/test_digest.py checks that the two agree.  Dicts appear with
+        their keys sorted as text ("10" < "2"), free text is escaped as
+        json.dumps escapes it, times are written with str(), and `cfg` is
+        encoded as it stands when the digest is taken.
+        """
+        q = _quote
+        on = self.on_sets
+        texts = {s: f"[{', '.join(map(str, s))}]" for s in set(on.values())}  # per distinct set
+        # bits are 0s and 1s (PolicyString checks), so their string needs no escape
+        policies = [
+            f'{{"bits": "{r.policy.as_string()}", "effective_from": "{r.effective_from!s}", '
+            f'"initial_len": {r.policy.initial_len}, "kind": {q(r.kind)}, '
+            f'"meta": {_meta_json(r.meta)}, "nominal_start": "{r.nominal_start!s}", '
+            f'"owner": {r.owner}, "phase": {"null" if r.phase is None else r.phase}}}'
+            for r in self.policies]
+        stage2 = [
+            f'{{"clamped": {"true" if r.clamped else "false"}, "ell": {r.ell}, '
+            f'"frozen_j": "{r.frozen_j!s}", "len_c": "{r.len_c!s}", '
+            f'"member_ids": [{", ".join(map(str, r.member_ids))}], "mu": {r.mu}, '
+            f'"next_global": "{r.next_global!s}", "next_local": "{r.next_local!s}", '
+            f'"owner": {r.owner}, "phase": {r.phase}, "tick": "{r.tick!s}"}}'
+            for r in self.stage2]
+        dyn = [f'["{t!s}", {q(kind)}, {owner}, [{", ".join([q(str(x)) for x in payload])}]]'
+               for t, kind, owner, payload in self.dyn_events]
+        sct = self.sync_complete_tick
+        # Dict keys here are times, ids and "u-v" pairs: digits, '-' and '/',
+        # which all sort after '"'.  So sorting whole '"key": value' entries
+        # sorts them by key text.
+        blob = "".join([
+            '{"cfg": ', _CFG_ENCODER.encode(self.cfg),
+            ', "clock_events": [',
+            ", ".join([f'["{t!s}", {o}, "{tau!s}", "{qf!s}"]'
+                       for t, o, tau, qf in self.clock_events]),
+            '], "dyn_events": [', ", ".join(dyn),
+            '], "edge_contacts": {',
+            ", ".join(sorted([f'"{u}-{v}": ["{t!s}", "{d!s}"]'
+                              for (u, v), (t, d) in self.edge_contacts.items()])),
+            '}, "energy": {',
+            ", ".join(sorted([f'"{o}": {c}' for o, c in self.energy_counts.items()])),
+            '}, "final_clocks": {',
+            ", ".join(sorted([f'"{o}": ["{a!s}", "{b!s}"]'
+                              for o, (a, b) in self.final_clocks.items()])),
+            '}, "flags": [', ", ".join(map(q, sorted(self.flags))),
+            f'], "horizon": "{self.horizon!s}", "on_sets": {{',
+            ", ".join(sorted([f'"{t!s}": {texts[s]}' for t, s in on.items()])),
+            '}, "policies": [', ", ".join(policies),
+            '], "stage2": [', ", ".join(stage2),
+            '], "sync_complete_tick": ', "null" if sct is None else f'"{sct!s}"',
+            ', "wakes": [', ", ".join([f'"{w!s}"' for w in self.wakes]), "]}",
+        ])
+        return hashlib.sha256(blob.encode()).hexdigest()
 
     def tau_at(self, owner: int, tick) -> int | None:
         """Displayed clock of `owner` at `tick` (None before wake)."""
@@ -428,6 +484,18 @@ class World:
         # sorted once, stably; filtering keeps that order in every inbox
         sent.sort(key=lambda msg: (msg.sender, msg.kind, msg.payload))
         return {v: [msg for msg in sent if msg.sender in adj[v]] for v in on_sorted}
+
+
+# json.dumps(obj, sort_keys=True) is this encoder's encode(obj)
+_CFG_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _meta_json(meta):
+    """A policy record's meta as its view writes it: values as str()."""
+    if not meta:
+        return "{}"
+    return "{" + ", ".join([f"{_quote(k)}: {_quote(str(v))}"
+                            for k, v in sorted(meta.items())]) + "}"
 
 
 def _cfg_echo(cfg, k, horizon):

@@ -102,6 +102,9 @@ def test_malformed_fractional_wake_rejected(bad):
 @pytest.mark.parametrize("field, value", [
     ("k_override", 2.5), ("max_ticks", 10.5), ("n", "8"), ("n", True), ("n", 8.5),
     ("m", 2.0), ("m", None), ("max_ticks", False),
+    # with seeded-random wakes, seed=None drew other wakes on each run,
+    # seed=True ran seed 1 under another digest and seed=[1] raised TypeError
+    ("seed", None), ("seed", True), ("seed", [1]), ("seed", "7"),
 ])
 def test_integer_fields_must_be_ints(field, value):
     # each once ran, or failed with another exception than ConfigError
@@ -115,6 +118,17 @@ def test_fractional_must_be_a_bool(value):
     # "no" once ran the fractional engine and wrote "no" into the digest
     cfg = SimConfig(n=4, m=2, wake_times=[0, 1], algorithm="naive", fractional=value)
     with pytest.raises(ConfigError, match="fractional must be a bool"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("field, value", [
+    # once TypeError, AttributeError, or a run
+    ("wake_times", 5), ("wake_times", None), ("wake_times", {0: 0, 1: 1}),
+    ("topology", 5), ("topology", None), ("topology", [(1, 2)]),
+])
+def test_wake_times_and_topology_types(field, value):
+    cfg = SimConfig(**{"n": 4, "m": 2, "algorithm": "naive", field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be"):
         validate_config(cfg)
 
 

@@ -1,0 +1,110 @@
+"""SimTrace.digest() writes the JSON of the deterministic view by hand.
+
+The digest is defined as the sha256 of
+json.dumps(trace.deterministic_view(), sort_keys=True); digest() writes
+those bytes straight from the trace's fields.  These tests compare the two
+on runs of every algorithm on both engines, and on a trace edited by hand
+so that every field is non-empty and holds the cases the writer must get
+right: keys that sort differently as text than as numbers, Fraction times,
+None, bools, and strings with quotes, backslashes and non-ASCII text.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from radiosync.adversary import build_topology
+from radiosync.core import ALGORITHMS, SimConfig
+from radiosync.engine import PolicyRecord, Stage2Record, run
+from radiosync.fractional import run_fractional
+from radiosync.policy import PolicyString
+
+
+def view_digest(trace):
+    blob = json.dumps(trace.deterministic_view(), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def simulate(cfg):
+    return run_fractional(cfg) if cfg.fractional else run(cfg)
+
+
+@st.composite
+def small_configs(draw):
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    fractional = algorithm != "dynamic-synch" and draw(st.booleans())
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 6))
+    topology = "complete"
+    if algorithm in ("naive", "pairwise") and m % 2 == 0:
+        topology = draw(st.sampled_from(["complete", "two-clique", "unit-disk"]))
+    if fractional:
+        den = draw(st.integers(1, 6))
+        wakes = [Fraction(draw(st.integers(0, n * den)), den) for _ in range(m)]
+    else:
+        wakes = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    return SimConfig(n=n, m=m, wake_times=wakes, topology=build_topology(topology, m),
+                     algorithm=algorithm, fractional=fractional,
+                     k_override=draw(st.none() | st.integers(1, 8)),
+                     max_ticks=draw(st.none() | st.integers(0, 8 * n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs())
+# l-connected needs m >= 14
+@example(SimConfig(n=20, m=14, wake_times="seeded-random", seed=3,
+                   topology=build_topology("l-connected:1", 14), algorithm="naive"))
+@example(SimConfig(n=20, m=14, wake_times=[Fraction(i, 3) for i in range(14)],
+                   topology=build_topology("l-connected:1", 14), algorithm="pairwise",
+                   fractional=True))
+# more than nine processors: energy and final_clocks keys sort as "10" < "2"
+@example(SimConfig(n=64, m=12, wake_times="seeded-random", seed=5, algorithm="synchronize"))
+@example(SimConfig(n=32, m=11, wake_times="seeded-random", seed=2, algorithm="dynamic-synch"))
+def test_written_digest_is_the_hash_of_the_view(cfg):
+    trace = simulate(cfg)
+    assert trace.digest() == view_digest(trace)
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_run_cut_short_writes_null_sync_tick(fractional):
+    cfg = SimConfig(n=16, m=4, wake_times=[0, 5, 9, 16], algorithm="synchronize",
+                    max_ticks=12, fractional=fractional)
+    trace = simulate(cfg)
+    assert trace.sync_complete_tick is None
+    assert trace.digest() == view_digest(trace)
+
+
+def test_every_field_filled_by_hand():
+    trace = run(SimConfig(n=64, m=12, wake_times="seeded-random", seed=1,
+                          algorithm="synchronize"))
+    assert trace.stage2 and trace.final_clocks
+    odd = 'q"uote \\back café ☃'
+    # the view hands out the trace's own cfg, as a benchmark job edits it
+    trace.deterministic_view()["cfg"].pop("fractional")
+    trace.cfg["note"] = odd
+    trace.wakes[1] = Fraction(7, 3)
+    trace.on_sets = {100: (10,), 9: (1,), 99: (2, 10), 10: (1, 2, 11), Fraction(21, 2): (3,)}
+    trace.clock_events.append((Fraction(9, 2), 10, Fraction(5, 2), Fraction(-1, 2)))
+    trace.dyn_events = [(Fraction(7, 2), odd, 3, (1, odd, Fraction(1, 3))), (12, "q", 10, ())]
+    trace.edge_contacts = {(1, 10): (5, -1), (1, 2): (Fraction(9, 2), 0), (2, 10): (7, 3),
+                           (10, 11): (1, Fraction(-1, 4))}
+    trace.flags = ["z", odd, "pass-without-head p3 t12", "é"]
+    trace.energy_counts[10] = 7
+    trace.final_clocks[11] = (Fraction(41, 2), Fraction(1, 2))
+    trace.sync_complete_tick = Fraction(77, 2)
+    trace.policies[0].meta = {odd: odd, "slot": 3, "origin": 10}
+    trace.policies.append(PolicyRecord(owner=10, kind=odd, policy=PolicyString((0, 1), 1),
+                                       nominal_start=Fraction(5, 2), effective_from=4,
+                                       phase=None, meta={"ü": Fraction(1, 2)}))
+    trace.stage2.append(Stage2Record(owner=11, tick=Fraction(13, 2), frozen_j=-1,
+                                     member_ids=(2, 10, 11), len_c=4, ell=3, mu=0,
+                                     next_local=20, next_global=Fraction(41, 2), phase=2,
+                                     clamped=True))
+    view = trace.deterministic_view()
+    assert all(value not in (None, [], {}) for value in view.values())
+    assert {rec["phase"] is None for rec in view["policies"]} == {True, False}
+    assert {rec["clamped"] for rec in view["stage2"]} == {True, False}
+    assert trace.digest() == view_digest(trace)
