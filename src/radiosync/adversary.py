@@ -13,7 +13,7 @@ from fractions import Fraction
 from .core import ConfigError, SimConfig, Topology, complete_topology
 from .engine import energy, run
 from .policy import PolicyString, basic_policy, masks_overlap
-from .protocols import ceil_sqrt
+from .protocols import PROTOCOLS, ceil_sqrt
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,9 @@ def multi_hop_experiment(topology, n: int, algorithm: str,
     """Run a baseline algorithm on a multi-hop topology (a built Topology:
     a spec string would need m) and report energy plus per-edge
     first-contact coverage."""
-    if algorithm not in ("pairwise", "naive"):
-        raise ConfigError("multi-hop baselines are pairwise and naive")
+    baselines = [a for a, cls in PROTOCOLS.items() if not cls.SINGLE_HOP]
+    if algorithm not in baselines:
+        raise ConfigError(f"multi-hop baselines are {' and '.join(baselines)}")
     if not isinstance(topology, Topology):
         raise ConfigError(f"multi_hop_experiment needs a Topology, got {topology!r}"
                           " (build a spec with build_topology(spec, m))")

@@ -14,11 +14,13 @@ import sys
 from fractions import Fraction
 
 from . import adversary, analysis
-from .core import ConfigError, SimConfig, Topology, ceil_log2
+from .core import ConfigError, SimConfig, Topology
 from .engine import energy, run
 from .fractional import anchors, run_fractional
+from .protocols import PROTOCOLS
 
 CHECKS = ("sync", "flatten", "continuity", "dynamic", "budget")
+_ALGORITHM_ALIASES = {"dynamic": "dynamic-synch"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +55,7 @@ def _common_flags(p, lists=False):
         p.add_argument("--n", required=True, type=int, help="uncertainty window in ticks")
         p.add_argument("--m", required=True, type=int, help="number of processors")
     p.add_argument("--algorithm", default="synchronize",
-                   choices=["synchronize", "dynamic", "dynamic-synch", "naive", "pairwise"])
+                   choices=[*PROTOCOLS, *_ALGORITHM_ALIASES])
     p.add_argument("--wake", default="uniform",
                    help="uniform | random | clustered | explicit:FILE")
     p.add_argument("--seed", type=int, default=0, help="seed for the random generator")
@@ -110,14 +112,15 @@ def _parse_topology(spec: str, m: int):
 
 def _build_config(args, n, m, fractional=False) -> SimConfig:
     """The run's config; validate_config (at run time) checks n and m."""
-    algorithm = "dynamic-synch" if args.algorithm == "dynamic" else args.algorithm
     return SimConfig(n=n, m=m, wake_times=_parse_wakes(args.wake, fractional),
                      topology=_parse_topology(args.topology, m),
-                     algorithm=algorithm, k_override=args.k,
+                     algorithm=_ALGORITHM_ALIASES.get(args.algorithm, args.algorithm),
+                     k_override=args.k,
                      max_ticks=args.max_ticks, seed=args.seed, fractional=fractional)
 
 
-# checks backed by an analysis checker that returns (passed, details)
+# checks backed by an analysis checker that returns (passed, details); each
+# applies only to the algorithms whose STRUCTURAL_CHECKS name it
 _ANALYSIS_CHECKS = {
     "flatten": analysis.check_flatten,
     "continuity": analysis.check_final_continuity,
@@ -137,23 +140,11 @@ def _run_checks(trace, wanted):
             rep = _ANALYSIS_CHECKS[name](trace)
             results[name] = {"passed": rep.passed, "details": rep.details}
         elif name == "budget":
-            limit = _energy_budget(trace)
+            limit = PROTOCOLS[trace.cfg["algorithm"]].budget(trace.n, trace.k)
             rep = energy(trace)
             results[name] = {"passed": rep.max_energy <= limit,
                              "max_energy": rep.max_energy, "budget": limit}
     return results
-
-
-def _energy_budget(trace) -> int:
-    alg = trace.cfg["algorithm"]
-    k = trace.k
-    if alg == "synchronize":
-        return (2 * k + 1) * (ceil_log2(trace.n) + 1)
-    if alg == "dynamic-synch":
-        return 4 * k + 2
-    if alg == "naive":
-        return trace.n + 1
-    return 2 * trace.k  # pairwise: the k-basic policy has 2k on-ticks
 
 
 def _report(trace, checks, fractional) -> dict:
@@ -200,9 +191,13 @@ def _write_trace_csv(trace, path):
 def cmd_run(args) -> int:
     cfg = _build_config(args, args.n, args.m, args.fractional)
     wanted = [c for c in args.check.split(",") if c]
+    structural = PROTOCOLS[cfg.algorithm].STRUCTURAL_CHECKS
     for c in wanted:
         if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r}; choose from {CHECKS}")
+        if c in _ANALYSIS_CHECKS and c not in structural:
+            raise ConfigError(f"check {c!r} does not apply to {cfg.algorithm}"
+                              f" (its structural checks: {', '.join(structural) or 'none'})")
     if args.trace and cfg.fractional:
         raise ConfigError("per-tick CSV traces are integer-mode only")
     trace = run_fractional(cfg) if cfg.fractional else run(cfg)

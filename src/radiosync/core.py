@@ -14,11 +14,6 @@ class ConfigError(ValueError):
     """A simulation configuration violates an invariant."""
 
 
-ALGORITHMS = ("synchronize", "dynamic-synch", "naive", "pairwise")
-
-# Algorithms defined for single-hop (complete) topologies only.
-SINGLE_HOP_ONLY = ("synchronize", "dynamic-synch")
-
 WAKE_GENERATORS = ("uniform-spread", "seeded-random", "adversarial-clustered")
 
 
@@ -83,15 +78,6 @@ class SimConfig:
     fractional: bool = False
 
 
-def default_horizon(n: int, k: int, algorithm: str, policy_span: int) -> int:
-    """Last simulated tick, from each algorithm's completion guarantee."""
-    if algorithm == "synchronize":
-        return ceil_log2(n) * 4 * n + 2 * n + k * k + k + 1
-    if algorithm == "dynamic-synch":
-        return 4 * n + k * k + k + 2
-    return 2 * n + policy_span
-
-
 def ceil_log2(n: int) -> int:
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -150,8 +136,9 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError("n must be >= 1")
     if cfg.m < 1:
         raise ConfigError("m must be >= 1")
-    if cfg.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}; choose from {ALGORITHMS}")
+    from .protocols import PROTOCOLS  # here, not at the top: protocols imports core
+    if not isinstance(cfg.algorithm, str) or cfg.algorithm not in PROTOCOLS:
+        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}; choose from {tuple(PROTOCOLS)}")
     if cfg.k_override is not None and cfg.k_override < 1:
         raise ConfigError("k_override must be >= 1")
     if cfg.max_ticks is not None and cfg.max_ticks < 0:
@@ -180,7 +167,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         topo = complete_topology(cfg.m)
     if topo.m != cfg.m:
         raise ConfigError(f"topology has {topo.m} vertices, config has m={cfg.m}")
-    if cfg.algorithm in SINGLE_HOP_ONLY and not topo.is_complete:
+    if PROTOCOLS[cfg.algorithm].SINGLE_HOP and not topo.is_complete:
         raise ConfigError(f"algorithm {cfg.algorithm!r} requires the complete topology")
 
     return replace(cfg, wake_times=list(wakes), topology=topo)

@@ -8,7 +8,7 @@ finer on the fractional engine).  Handlers see ticks in their processor's
 own frame (protocols._Proto), which on this engine is the global tick.
 
 Most radio-on ticks have one radio on, and for most protocols such a lone
-tick changes nothing.  When every processor's class declares its lone
+tick changes nothing.  When the world's protocol class declares its lone
 ticks inert (protocols._Proto.LONE_TICKS_INERT), this engine gives them no
 event: `_schedule` records a tick's first radio straight into the trace
 (its on-set and energy count), and the tick becomes a radio-on event only
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps' str escape
 
-from .core import ConfigError, SimConfig, default_horizon, validate_config
+from .core import ConfigError, SimConfig, validate_config
 from . import protocols
 from .policy import PolicyString, basic_policy
 from .protocols import Message, Stage2Record  # noqa: F401  (re-exported)
@@ -241,7 +241,7 @@ class World:
     the kind breaks same-instant ties: 0 wake, 1 radio-on instant, 2 slot
     close (pushed only by the fractional engine, fractional.FracWorld), 3
     the 2n audit.  `_on_map` holds the radio-on set of each pending key.
-    With `_skip_lone` (unit 1 and every protocol class inert on lone ticks,
+    With `_skip_lone` (unit 1 and the protocol class inert on lone ticks,
     see the module docstring), a pending key with one radio on has no
     event and no `_on_map` entry: it is already in `trace.on_sets` and
     `trace.energy_counts`.  The fractional engine overrides only
@@ -254,15 +254,13 @@ class World:
         self.cfg = cfg
         self.n = cfg.n
         self.m = cfg.m
-        self.algorithm = cfg.algorithm
-        self.k = protocols.schedule_k(cfg)
-        span = protocols.base_policy_span(cfg, self.k)
-        self.horizon = (cfg.max_ticks if cfg.max_ticks is not None
-                        else default_horizon(cfg.n, self.k, cfg.algorithm, span))
+        cls = protocols.PROTOCOLS[cfg.algorithm]
+        self.k = cfg.k_override if cfg.k_override is not None else cls.schedule_k(cfg.n, cfg.m)
+        self.horizon = cfg.max_ticks if cfg.max_ticks is not None else cls.horizon(cfg.n, self.k)
         self.adj = cfg.topology.adjacency()
         self.tick = 0
         # the k-basic policy, one object shared by every processor's records
-        self.basic = None if cfg.algorithm == "naive" else basic_policy(self.k)
+        self.basic = basic_policy(self.k)
 
         self.trace = SimTrace(
             cfg=_cfg_echo(cfg, self.k, self.horizon),
@@ -277,13 +275,10 @@ class World:
         self._events.append((2 * self.n * self.unit, 3, 0))
         heapq.heapify(self._events)
 
-        self.procs = {i: protocols.make_protocol(cfg.algorithm, self, i)
-                      for i in range(1, self.m + 1)}
+        self.procs = {i: cls(self, i) for i in range(1, self.m + 1)}
         base = protocols._Proto
-        classes = {type(p) for p in self.procs.values()}
-        self._late_phases = any(cls.react2 is not base.react2 or cls.absorb is not base.absorb
-                                for cls in classes)
-        self._skip_lone = self.unit == 1 and all(cls.LONE_TICKS_INERT for cls in classes)
+        self._late_phases = cls.react2 is not base.react2 or cls.absorb is not base.absorb
+        self._skip_lone = self.unit == 1 and cls.LONE_TICKS_INERT
         self._awake: set[int] = set()
         self._in_wake_hook = False
 
@@ -446,18 +441,10 @@ class World:
         counts = self.trace.energy_counts
         for pid in on_sorted:
             counts[pid] += 1
-        if len(on_sorted) == 1:  # no self-loops: nobody hears a lone radio
-            p = self.procs[on_sorted[0]]
-            p.react(t, ())
-            if self._late_phases:
-                p.react2(t, ())
-                if p.absorb(t, ()):
-                    raise RuntimeError("absorb phase must not emit messages")
-            p.tick_end(t)
-            return
         procs = [self.procs[pid] for pid in on_sorted]
-
-        inbox = self._exchange(t, on_sorted, [p.transmissions(t) for p in procs])
+        # no self-loops: nobody hears a lone radio, so it builds no messages
+        sent = [p.transmissions(t) for p in procs] if len(procs) > 1 else ()
+        inbox = self._exchange(t, on_sorted, sent)
         out = [p.react(t, inbox.get(p.id, ())) for p in procs]
         if self._late_phases or any(out):
             inbox = self._exchange(t, on_sorted, out)
@@ -470,8 +457,9 @@ class World:
 
     def _exchange(self, t, on_sorted, outs):
         """Deliver one sub-phase's messages (outs[i] is what on_sorted[i]
-        sent); returns every radio-on receiver's inbox ({} if none was sent)."""
-        sent = [msg for out in outs if out for msg in out]
+        sent); returns every radio-on receiver's inbox ({} if none was sent,
+        or if fewer than two radios are on to send and hear)."""
+        sent = [msg for out in outs if out for msg in out] if len(on_sorted) > 1 else ()
         if not sent:
             return {}
         adj = self.adj

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .core import ConfigError
 from .engine import SimTrace, World
-from .protocols import HALF, Message
+from .protocols import HALF, PROTOCOLS, Message
 from .protocols import adopt_fractional  # noqa: F401  (this mode's carry rule)
 
 
@@ -97,10 +97,8 @@ class FracWorld(World):
     def _time_unit(self, cfg):
         if not cfg.fractional:
             raise ConfigError("FracWorld requires fractional=True")
-        if cfg.algorithm == "dynamic-synch":
-            raise ConfigError(
-                "fractional mode supports synchronize, naive and pairwise; the"
-                " queue protocol's sub-unit hand-off timing is not defined")
+        if not PROTOCOLS[cfg.algorithm].FRACTIONAL:
+            raise ConfigError(f"fractional mode does not define {cfg.algorithm}'s timing")
         return 2 * math.lcm(*(w.denominator for w in cfg.wake_times))
 
     # event handlers ----------------------------------------------------------

@@ -52,24 +52,6 @@ def ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
-def schedule_k(cfg) -> int:
-    """Effective schedule parameter for a validated config."""
-    if cfg.k_override is not None:
-        return cfg.k_override
-    if cfg.algorithm == "pairwise":
-        return ceil_sqrt(cfg.n)
-    if cfg.algorithm == "naive":
-        return 1  # unused by the policy; keeps horizon formulas total
-    return compute_k(cfg.n, cfg.m)
-
-
-def base_policy_span(cfg, k: int) -> int:
-    """Span of the per-wake policy (for the naive/pairwise horizon)."""
-    if cfg.algorithm == "naive":
-        return cfg.n + 1
-    return k * k + k
-
-
 @dataclass
 class Message:
     """A delivered message.  Every message piggybacks the sender's (tau, j),
@@ -175,11 +157,20 @@ class _Proto:
     `world.alarm(id, t)`.  The integer engine then records such a tick
     without visiting it (see engine.World); an alarm, made once t is
     scheduled radio-on, has local tick t visited anyway.
+
+    Each algorithm's class states its own facts, read through PROTOCOLS:
+    `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
+    completion guarantee), `budget(n, k)` (the energy bound per processor),
+    SINGLE_HOP, FRACTIONAL and the STRUCTURAL_CHECKS that describe its traces.
     """
 
     phi = 0
     off = 0
     LONE_TICKS_INERT = False
+    SINGLE_HOP = False
+    FRACTIONAL = True
+    STRUCTURAL_CHECKS = ()
+    schedule_k = staticmethod(compute_k)
 
     def __init__(self, world, pid):
         self.world = weakref.proxy(world)
@@ -203,14 +194,14 @@ class _Proto:
         return t + self._jsteps[i - 1][1]
 
     # state changes ---------------------------------------------------------
-    def set_clock(self, t, tau_v, j_v=None, q_v=None, q_prime=None):
+    def set_clock(self, t, tau_v, j_v=None, q_v=0, q_prime=0):
         """Set the clock (and optionally the progress counter): zero at wake,
         a peer's on adoption, with the peer's carry (q_v, q_prime)."""
         old = self._delta
         old_q = self.q_frac
         if q_v or q_prime:
             tau_v, self.q_frac = adopt_fractional(tau_v, q_v, q_prime)
-        elif q_v is not None:
+        else:
             self.q_frac = 0
         self._delta = tau_v - t
         if j_v is not None:
@@ -310,6 +301,16 @@ class SynchronizeProto(_Proto):
     USES_POLICY_PROGRESS = True
     # a lone tick changes state only at stage2_tick and cur_end: both alarmed
     LONE_TICKS_INERT = True
+    SINGLE_HOP = True
+    STRUCTURAL_CHECKS = ("flatten", "continuity")
+
+    @staticmethod
+    def horizon(n, k):
+        return ceil_log2(n) * 4 * n + 2 * n + k * k + k + 1
+
+    @staticmethod
+    def budget(n, k):
+        return (2 * k + 1) * (ceil_log2(n) + 1)
 
     def on_wake(self, t):
         self.rounds = ceil_log2(self.n)
@@ -400,6 +401,17 @@ class DynamicProto(_Proto):
     """
 
     USES_POLICY_PROGRESS = False
+    SINGLE_HOP = True
+    FRACTIONAL = False  # the queue hand-off's sub-unit timing is not defined
+    STRUCTURAL_CHECKS = ("dynamic",)
+
+    @staticmethod
+    def horizon(n, k):
+        return 4 * n + k * k + k + 2
+
+    @staticmethod
+    def budget(n, k):
+        return 4 * k + 2
 
     def on_wake(self, t):
         self.candidate = True
@@ -423,10 +435,7 @@ class DynamicProto(_Proto):
         if 1 <= r <= self.k:
             out.append(self._msg(t, "init", (r,)))
         if self.pass_tick is not None and t == self.pass_tick:
-            if self.q and self.q[0] == self.id:
-                out.append(self._msg(t, "pass", tuple(self.q[1:])))
-            else:
-                out.append(self._msg(t, "pass", tuple(x for x in self.q if x != self.id)))
+            out.append(self._msg(t, "pass", tuple(x for x in self.q if x != self.id)))
         return out
 
     # -- inbox handling -------------------------------------------------------
@@ -537,6 +546,18 @@ class NaiveProto(_Proto):
     USES_POLICY_PROGRESS = False
     LONE_TICKS_INERT = True  # an empty inbox records and adopts nothing
 
+    @staticmethod
+    def schedule_k(n, m):
+        return 1  # the policy reads no k; 1 keeps k total
+
+    @staticmethod
+    def horizon(n, k):
+        return 3 * n + 1  # 2n, then the n + 1 on-ticks
+
+    @staticmethod
+    def budget(n, k):
+        return n + 1
+
     def on_wake(self, t):
         self.schedule("naive", naive_policy(self.n), nominal_start=t)
 
@@ -557,6 +578,18 @@ class PairwiseProto(_Proto):
     USES_POLICY_PROGRESS = False
     LONE_TICKS_INERT = True  # an empty inbox records nothing
 
+    @staticmethod
+    def schedule_k(n, m):
+        return ceil_sqrt(n)
+
+    @staticmethod
+    def horizon(n, k):
+        return 2 * n + k * k + k  # 2n, then the k-basic policy's span
+
+    @staticmethod
+    def budget(n, k):
+        return 2 * k  # the k-basic policy's on-ticks
+
     def on_wake(self, t):
         self.schedule("pairwise", self.world.basic, nominal_start=t)
 
@@ -571,13 +604,10 @@ class PairwiseProto(_Proto):
         pass
 
 
-_PROTOS = {
+# the algorithms, by name: the one place a name is looked up
+PROTOCOLS = {
     "synchronize": SynchronizeProto,
     "dynamic-synch": DynamicProto,
     "naive": NaiveProto,
     "pairwise": PairwiseProto,
 }
-
-
-def make_protocol(algorithm, world, pid):
-    return _PROTOS[algorithm](world, pid)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 
 from radiosync.cli import _write_trace_csv, main
 from radiosync.core import SimConfig
-from radiosync.engine import run
+from radiosync.engine import World, run
 
 
 def run_cli(args, capsys):
@@ -68,6 +69,65 @@ def test_pairwise_budget_follows_k_override(tmp_path, capsys):
                           "--k", "8", "--check", "budget", "--out", str(out)], capsys)
     budget = json.loads(out.read_text())["checks"]["budget"]
     assert (code, budget["budget"], budget["max_energy"]) == (0, 16, 16)
+
+
+# the README's per-algorithm table: k, horizon and energy budget
+def _ceil_sqrt(num, den=1):
+    """Smallest k with k * k >= num / den."""
+    return next(k for k in itertools.count(1) if k * k * den >= num)
+
+
+def _ceil_log2(n):
+    """Smallest c with 2 ** c >= n."""
+    return next(c for c in itertools.count() if 2 ** c >= n)
+
+
+README_FORMULAS = {
+    "synchronize": (lambda n, m: _ceil_sqrt(8 * n, m),
+                    lambda n, k: _ceil_log2(n) * 4 * n + 2 * n + k * k + k + 1,
+                    lambda n, k: (2 * k + 1) * (_ceil_log2(n) + 1)),
+    "dynamic-synch": (lambda n, m: _ceil_sqrt(8 * n, m),
+                      lambda n, k: 4 * n + k * k + k + 2,
+                      lambda n, k: 4 * k + 2),
+    "naive": (lambda n, m: 1, lambda n, k: 3 * n + 1, lambda n, k: n + 1),
+    "pairwise": (lambda n, m: _ceil_sqrt(n),
+                 lambda n, k: 2 * n + k * k + k,
+                 lambda n, k: 2 * k),
+}
+
+
+@pytest.mark.parametrize("k_override", [None, 5])
+@pytest.mark.parametrize("algorithm", sorted(README_FORMULAS))
+def test_per_algorithm_formulas(tmp_path, capsys, algorithm, k_override):
+    n, m = 20, 3  # 8n/m = 160/3 and n = 20 are not squares: the ceilings matter
+    k_of, horizon_of, budget_of = README_FORMULAS[algorithm]
+    k = k_of(n, m) if k_override is None else k_override
+    world = World(SimConfig(n=n, m=m, algorithm=algorithm, k_override=k_override))
+    assert (world.k, world.horizon) == (k, horizon_of(n, k))
+    out = tmp_path / "r.json"
+    args = ["run", "--n", str(n), "--m", str(m), "--algorithm", algorithm,
+            "--check", "budget", "--out", str(out)]
+    run_cli(args + ([] if k_override is None else ["--k", str(k_override)]), capsys)
+    assert json.loads(out.read_text())["checks"]["budget"]["budget"] == budget_of(n, k)
+
+
+# the structural checks that do not describe an algorithm's traces
+MISMATCHED_CHECKS = [
+    ("synchronize", "dynamic"),
+    ("dynamic-synch", "flatten"), ("dynamic-synch", "continuity"),
+    ("naive", "flatten"), ("naive", "continuity"), ("naive", "dynamic"),
+    ("pairwise", "flatten"), ("pairwise", "continuity"), ("pairwise", "dynamic"),
+]
+
+
+@pytest.mark.parametrize("algorithm, check", MISMATCHED_CHECKS)
+def test_mismatched_check_exits_two_before_writing(tmp_path, capsys, algorithm, check):
+    out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+    code, stdout, err = run_cli(["run", "--n", "16", "--m", "4", "--algorithm", algorithm,
+                                 "--check", f"sync,{check}", "--out", str(out),
+                                 "--trace", str(trace)], capsys)
+    assert code == 2 and "does not apply" in err
+    assert not stdout and not out.exists() and not trace.exists()
 
 
 def test_output_bytes_are_stable(tmp_path, capsys):

@@ -133,8 +133,10 @@ def test_wake_times_and_topology_types(field, value):
 
 
 def test_unknown_algorithm_rejected():
-    with pytest.raises(ConfigError, match="algorithm"):
-        validate_config(SimConfig(n=4, m=1, wake_times=[0], algorithm="bogus"))
+    # an unhashable name must not reach the registry's dict lookup
+    for algorithm in ("bogus", ["naive"], None):
+        with pytest.raises(ConfigError, match="algorithm"):
+            validate_config(SimConfig(n=4, m=1, wake_times=[0], algorithm=algorithm))
 
 
 def test_generators():

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radiosync.adversary import build_topology
-from radiosync.core import ALGORITHMS, SimConfig
+from radiosync.core import SimConfig
 from radiosync.engine import PolicyRecord, Stage2Record, run
 from radiosync.fractional import run_fractional
 from radiosync.policy import PolicyString
+from radiosync.protocols import PROTOCOLS
 
 
 def view_digest(trace):
@@ -34,7 +35,7 @@ def simulate(cfg):
 
 @st.composite
 def small_configs(draw):
-    algorithm = draw(st.sampled_from(ALGORITHMS))
+    algorithm = draw(st.sampled_from(list(PROTOCOLS)))
     fractional = algorithm != "dynamic-synch" and draw(st.booleans())
     n = draw(st.integers(1, 24))
     m = draw(st.integers(1, 6))

@@ -12,7 +12,7 @@ from radiosync.engine import Message, World, energy, run
 from radiosync.fractional import FracWorld
 from radiosync.policy import PolicyString
 
-ALGORITHMS = ["synchronize", "dynamic-synch", "naive", "pairwise"]
+ALGORITHMS = list(protocols.PROTOCOLS)
 
 
 def test_naive_two_processors_sync_in_overlap_window():
@@ -139,7 +139,7 @@ def test_j_matches_linear_definition():
 
 def _record_audits(monkeypatch, algorithm):
     calls = []
-    monkeypatch.setattr(protocols._PROTOS[algorithm], "audit",
+    monkeypatch.setattr(protocols.PROTOCOLS[algorithm], "audit",
                         lambda self, t: calls.append((self.id, t)))
     return calls
 
@@ -219,7 +219,7 @@ def test_receivers_are_radio_on_neighbours(topology, algorithm):
 def test_lone_radio_builds_no_messages(monkeypatch, algorithm):
     # a lone radio has no receiver, so its tick calls no `transmissions`;
     # a shared tick calls it once per radio
-    cls = protocols._PROTOS[algorithm]
+    cls = protocols.PROTOCOLS[algorithm]
     calls = []
 
     def counted(self, t, _orig=cls.transmissions):

@@ -34,7 +34,7 @@ def run_both(cfg):
     skipping = VisitLog(cfg)
     skipping.run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocols._PROTOS[cfg.algorithm], "LONE_TICKS_INERT", False)
+        mp.setattr(protocols.PROTOCOLS[cfg.algorithm], "LONE_TICKS_INERT", False)
         full = VisitLog(cfg)
         full.run()
     assert skipping._skip_lone and not full._skip_lone
