@@ -48,8 +48,6 @@ def l_connected(m: int, ell: int) -> Topology:
     if not 4 * ell < m - 8:  # ell < m/4 - 2, kept exact in integers
         raise ConfigError(f"need ell < m/4 - 2, got ell={ell}, m={m}")
     half = m // 2
-    if ell + 2 > half:
-        raise ConfigError("not enough vertices for the bridges")
     base = two_clique(m)
     edges = set(base.edges)
     for i in range(1, ell + 3):
@@ -121,9 +119,11 @@ def build_topology(spec, m: int | None = None) -> Topology:
     """
     if isinstance(spec, Topology):
         return spec
+    if not isinstance(spec, str):
+        raise ConfigError(f"topology spec must be a string or a Topology, got {spec!r}")
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ConfigError(f"topology {spec!r} needs an int m, got {m!r}")
     if spec == "complete":
-        if m is None:
-            raise ConfigError("complete topology needs m")
         return complete_topology(m)
     if spec == "two-clique":
         return two_clique(m)

@@ -37,9 +37,10 @@ class Topology:
     kind: str = "edge-list"
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.m):
-                raise ConfigError(f"bad edge ({u},{v}) for m={self.m}")
+        for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 2 and all(isinstance(x, int) for x in e)
+                    and 1 <= e[0] < e[1] <= self.m):
+                raise ConfigError(f"bad edge {e!r} for m={self.m}")
 
     def adjacency(self) -> dict[int, frozenset[int]]:
         adj: dict[int, set[int]] = {i: set() for i in range(1, self.m + 1)}
@@ -95,7 +96,7 @@ def generate_wakes(kind: str, n: int, m: int, seed: int) -> list[int]:
     if kind == "adversarial-clustered":
         head = -(-m // 2)  # ceil(m/2) wake at 0, the rest at n
         return [0] * head + [n] * (m - head)
-    raise ConfigError(f"unknown wake generator {kind!r}")
+    raise ConfigError(f"unknown wake generator {kind!r}; choose from {WAKE_GENERATORS}")
 
 
 def _as_wake(value, fractional: bool):

@@ -7,15 +7,13 @@ Event keys are integers, the instant times the engine's `unit` (1 here,
 finer on the fractional engine).  Handlers see ticks in their processor's
 own frame (protocols._Proto), which on this engine is the global tick.
 
-Most radio-on ticks have one radio on, and for most protocols such a lone
-tick changes nothing.  When the world's protocol class declares its lone
-ticks inert (protocols._Proto.LONE_TICKS_INERT), this engine gives them no
-event: `_schedule` records a tick's first radio straight into the trace
-(its on-set and energy count), and the tick becomes a radio-on event only
-when a second radio joins it or its owner asks for it (`alarm`).  Lone
-ticks of inert protocols are thus recorded at schedule time and never
-visited.  The queue protocol, and the fractional engine, visit every
-radio-on tick.
+Most radio-on ticks have one radio on, and such a lone tick changes
+nothing unless it ends one of its processor's policies (the contract in
+protocols._Proto).  So this engine gives a lone tick no event:
+`_schedule` records a tick's first radio straight into the trace (its
+on-set and energy count), and the tick becomes a radio-on event only when
+a second radio joins it or it is the last tick of a policy.  The
+fractional engine visits every radio-on tick.
 
 One tick is one communication round.  Within a radio-on tick, delivery
 runs in four sub-phases so that request/response exchanges happen inside
@@ -241,9 +239,9 @@ class World:
     the kind breaks same-instant ties: 0 wake, 1 radio-on instant, 2 slot
     close (pushed only by the fractional engine, fractional.FracWorld), 3
     the 2n audit.  `_on_map` holds the radio-on set of each pending key.
-    With `_skip_lone` (unit 1 and the protocol class inert on lone ticks,
-    see the module docstring), a pending key with one radio on has no
-    event and no `_on_map` entry: it is already in `trace.on_sets` and
+    With `_skip_lone` (unit 1, see the module docstring), a pending key
+    with one radio on that ends none of its owner's policies has no event
+    and no `_on_map` entry: it is already in `trace.on_sets` and
     `trace.energy_counts`.  The fractional engine overrides only
     `_time_unit` and the handlers.
     """
@@ -278,7 +276,7 @@ class World:
         self.procs = {i: cls(self, i) for i in range(1, self.m + 1)}
         base = protocols._Proto
         self._late_phases = cls.react2 is not base.react2 or cls.absorb is not base.absorb
-        self._skip_lone = self.unit == 1 and cls.LONE_TICKS_INERT
+        self._skip_lone = self.unit == 1
         self._awake: set[int] = set()
         self._in_wake_hook = False
 
@@ -340,6 +338,9 @@ class World:
                     elif first != alone:  # a second radio: g needs its event
                         self._promote(g)
                         on_map[g].add(owner)
+        # g is now the policy's last tick, where protocols change state
+        if lone is not None and g >= lo and lone.get(g) == alone:
+            self._promote(g)
         return rec
 
     def _promote(self, g):
@@ -349,16 +350,6 @@ class World:
         self.trace.energy_counts[owner] -= 1
         self._on_map[g] = {owner}
         heapq.heappush(self._events, (g, 1, 0))
-
-    def alarm(self, pid, t):
-        """Have tick t visited even if pid's radio is on alone there.  Does
-        nothing unless lone ticks are skipped and t is pid's pending lone
-        tick: not yet reached, within the horizon, with no event.  (Lone
-        ticks are skipped only when unit is 1, where a tick is its key.)"""
-        first = self.tick if self._in_wake_hook else self.tick + 1
-        if (self._skip_lone and t >= first and t not in self._on_map
-                and self.trace.on_sets.get(t) == (pid,)):
-            self._promote(t)
 
     # -- clock bookkeeping ---------------------------------------------------
     def _clock_change(self, pid, old_delta, new_delta):

@@ -151,12 +151,14 @@ class _Proto:
     (phi * world.unit); the fractional engine sets both for a wake off the
     grid.
 
-    A class sets LONE_TICKS_INERT to promise that on a tick where its radio
-    is the only one on, `react` on an empty inbox and `tick_end` change no
-    state and record nothing, except on the ticks it names with
-    `world.alarm(id, t)`.  The integer engine then records such a tick
-    without visiting it (see engine.World); an alarm, made once t is
-    scheduled radio-on, has local tick t visited anyway.
+    On a lone tick (its radio the only one on) that ends none of its
+    processor's policies, the handlers, on empty inboxes, change no state
+    and record nothing, so the integer engine does not visit it
+    (engine.World).  `dynamic-synch` changes state on lone ticks at
+    `wake + k - 1` and `pass_tick`, the ends of dyn-initial and dyn-block.
+    Its `first_main_tick` check needs no visit: it runs only for a
+    non-leader, whose first main tick is the previous block's pass tick,
+    and the only flag it can raise is `missing-pass`.
 
     Each algorithm's class states its own facts, read through PROTOCOLS:
     `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
@@ -166,7 +168,6 @@ class _Proto:
 
     phi = 0
     off = 0
-    LONE_TICKS_INERT = False
     SINGLE_HOP = False
     FRACTIONAL = True
     STRUCTURAL_CHECKS = ()
@@ -298,9 +299,8 @@ class SynchronizeProto(_Proto):
     consecutive k^2 blocks recentred 4n after the group's midpoint.
     """
 
+    # a lone tick changes state only at cur_end and stage2_tick: each ends a policy
     USES_POLICY_PROGRESS = True
-    # a lone tick changes state only at stage2_tick and cur_end: both alarmed
-    LONE_TICKS_INERT = True
     SINGLE_HOP = True
     STRUCTURAL_CHECKS = ("flatten", "continuity")
 
@@ -321,7 +321,6 @@ class SynchronizeProto(_Proto):
         self.set_j_anchor(t, t)
         self.schedule("basic", self.world.basic, nominal_start=t, phase=1)
         self.cur_end = t + len(self.world.basic) - 1  # last tick of the current policy
-        self.world.alarm(self.id, self.cur_end)
 
     def transmissions(self, t):
         out = [self._msg(t, "sync")]
@@ -364,8 +363,6 @@ class SynchronizeProto(_Proto):
             # completion is the span
             self.frozen_j = self.cur_end - gstart
             self._after_completion(t, fully_past=True)
-        else:
-            self.world.alarm(self.id, self.cur_end)
 
     def tick_end(self, t):
         if t == self.cur_end:  # None after the last policy and between policies
@@ -381,7 +378,6 @@ class SynchronizeProto(_Proto):
         self.stage2_clamped = self.stage2_tick != natural or fully_past
         self.schedule("stage2", STAGE2_POLICY, nominal_start=self.stage2_tick,
                       phase=self.exec_no)
-        self.world.alarm(self.id, self.stage2_tick)
         self.cur_end = None
 
 
@@ -544,7 +540,6 @@ class NaiveProto(_Proto):
     """Always-on baseline: n+1 consecutive on-ticks, early-sync adoption."""
 
     USES_POLICY_PROGRESS = False
-    LONE_TICKS_INERT = True  # an empty inbox records and adopts nothing
 
     @staticmethod
     def schedule_k(n, m):
@@ -576,7 +571,6 @@ class PairwiseProto(_Proto):
     Clocks are never adjusted."""
 
     USES_POLICY_PROGRESS = False
-    LONE_TICKS_INERT = True  # an empty inbox records nothing
 
     @staticmethod
     def schedule_k(n, m):

@@ -29,6 +29,14 @@ def test_complete_topology_edge_count():
     assert len(t.edges) == 45
 
 
+@pytest.mark.parametrize("spec, m", [("two-clique", None), ("l-connected:1", None),
+                                     ("unit-disk", None), ("complete", None),
+                                     ("two-clique", "4"), (5, 4), (None, 4)])
+def test_malformed_topology_specs_raise_config_error(spec, m):
+    with pytest.raises(ConfigError):
+        adversary.build_topology(spec, m)
+
+
 def test_unit_disk_exact_boundary():
     # distance exactly r is an edge; anything farther is not
     t = adversary.unit_disk([(0, 0), (2, 0), (Fraction(41, 20), 0)], 2)

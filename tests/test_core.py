@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from radiosync.core import (
+    WAKE_GENERATORS,
     ConfigError,
     SimConfig,
+    Topology,
     ceil_log2,
     complete_topology,
     compute_k,
@@ -147,6 +149,9 @@ def test_generators():
     b = generate_wakes("seeded-random", 100, 8, 7)
     assert a == b
     assert all(0 <= w <= 100 for w in a)
+    with pytest.raises(ConfigError, match="choose from") as err:
+        generate_wakes("spread", 10, 3, 0)
+    assert all(kind in str(err.value) for kind in WAKE_GENERATORS)
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=6),
@@ -165,3 +170,9 @@ def test_topology_helpers():
     assert len(t.edges) == 6
     assert t.is_complete
     assert t.adjacency()[2] == {1, 3, 4}
+
+
+@pytest.mark.parametrize("edge", [(1, 2, 3), (1,), (1, "2"), (2, 1), (0, 1), (1, 3), "12"])
+def test_malformed_edges_rejected(edge):
+    with pytest.raises(ConfigError, match="bad edge"):
+        Topology(m=2, edges=frozenset({edge}))

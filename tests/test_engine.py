@@ -269,9 +269,10 @@ def test_zero_carry_adoption_resets_carry():
 def test_absorb_must_not_emit(monkeypatch):
     monkeypatch.setattr(protocols.DynamicProto, "absorb",
                         lambda self, t, inbox: [self._msg(t, "sync")])
-    # ticks 0-2 of wakes [0, 3, 5] have one radio on, tick 0 of [0, 0, 0] three
-    for wakes, max_ticks in (([0, 3, 5], 2), ([0, 0, 0], 0)):
-        cfg = SimConfig(n=8, m=3, wake_times=wakes, algorithm="dynamic-synch",
+    # tick 7 of wakes [0] has one radio on and ends dyn-initial, so it is
+    # visited; tick 0 of [0, 0, 0] has three
+    for wakes, max_ticks in (([0], 7), ([0, 0, 0], 0)):
+        cfg = SimConfig(n=8, m=len(wakes), wake_times=wakes, algorithm="dynamic-synch",
                         max_ticks=max_ticks)
         with pytest.raises(RuntimeError, match="absorb phase must not emit"):
             run(cfg)
