@@ -10,7 +10,7 @@ meaningful at small n.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ConfigError, SimConfig, Topology, complete_topology
+from .core import ConfigError, SimConfig, Topology, check_int, complete_topology
 from .engine import energy, run
 from .policy import PolicyString, basic_policy, masks_overlap
 from .protocols import PROTOCOLS, ceil_sqrt
@@ -26,7 +26,7 @@ class OffsetWitness:
 
 def two_clique(m: int) -> Topology:
     """Two complete graphs on m/2 vertices joined by a single bridge edge."""
-    if m < 2 or m % 2:
+    if check_int("m", m) < 2 or m % 2:
         raise ConfigError("two_clique needs an even m >= 2")
     half = m // 2
     edges = set()
@@ -41,9 +41,9 @@ def two_clique(m: int) -> Topology:
 
 def l_connected(m: int, ell: int) -> Topology:
     """Two m/2-cliques joined by ell+2 disjoint bridges; ell < m/4 - 2."""
-    if m < 2 or m % 2:
+    if check_int("m", m) < 2 or m % 2:
         raise ConfigError("l_connected needs an even m >= 2")
-    if ell < 1:
+    if check_int("ell", ell) < 1:
         raise ConfigError("ell must be >= 1")
     if not 4 * ell < m - 8:  # ell < m/4 - 2, kept exact in integers
         raise ConfigError(f"need ell < m/4 - 2, got ell={ell}, m={m}")
@@ -89,7 +89,7 @@ def unit_disk_two_clique(m: int, radius=2) -> tuple:
     endpoints face each other at distance exactly r and every other cross
     pair is strictly farther.  Returns (positions, radius, topology).
     """
-    if m < 2 or m % 2:
+    if check_int("m", m) < 2 or m % 2:
         raise ConfigError("unit_disk_two_clique needs an even m >= 2")
     half = m // 2
     if half > len(_CIRCLE_DIRECTIONS) - 1:
@@ -121,8 +121,6 @@ def build_topology(spec, m: int | None = None) -> Topology:
         return spec
     if not isinstance(spec, str):
         raise ConfigError(f"topology spec must be a string or a Topology, got {spec!r}")
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ConfigError(f"topology {spec!r} needs an int m, got {m!r}")
     if spec == "complete":
         return complete_topology(m)
     if spec == "two-clique":

@@ -110,31 +110,23 @@ def clusters(trace) -> list:
 
     Isolated single-tick policies (rendezvous blips between phases) form
     their own clusters: they are performed and complete at the same tick.
+    A span joins the covered interval holding its start: they are disjoint,
+    and only a single-tick span can lie outside them all.
     """
-    spans = _performed(trace)
-    merged = _continuing_union(trace)
-    covered = [(a, b + 1) for a, b in merged]
-
-    leftovers = {}
-    assignments = {iv: [] for iv in covered}
-    for i, a, b in spans:
-        home = None
-        for iv in covered:
-            if a <= iv[1] and b >= iv[0]:
-                home = iv
-                break
-        if home is not None:
-            assignments[home].append(i)
-        else:
-            leftovers.setdefault((a, b), []).append(i)
+    covered = [(a, b + 1) for a, b in _continuing_union(trace)]
+    starts = [a for a, _b in covered]
+    groups = {}  # interval -> record indices, ascending
+    for i, a, b in _performed(trace):
+        j = bisect.bisect_right(starts, a) - 1
+        iv = covered[j] if j >= 0 and a <= covered[j][1] else (a, b)
+        groups.setdefault(iv, []).append(i)
 
     out = []
-    for iv in sorted(set(covered) | set(leftovers)):
-        idxs = assignments.get(iv, []) + leftovers.get(iv, [])
+    for iv, idxs in sorted(groups.items()):
         members = frozenset(trace.policies[i].owner for i in idxs)
         cwet = sum(_record_length(trace.policies[i]) for i in idxs)
         length = iv[1] - iv[0] + 1
-        out.append(Cluster(interval=iv, members=members, records=tuple(sorted(idxs)),
+        out.append(Cluster(interval=iv, members=members, records=tuple(idxs),
                            cwet=cwet, cden=Fraction(cwet, length)))
     return out
 

@@ -80,15 +80,22 @@ _WAKE_ALIASES = {
 }
 
 
+def _lines(path):
+    """The non-blank lines of a text file, stripped."""
+    try:
+        with open(path) as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not a text file") from None
+
+
 def _parse_wakes(spec: str, fractional: bool):
     if spec in _WAKE_ALIASES:
         return _WAKE_ALIASES[spec]
     if spec.startswith("explicit:"):
         path = spec.split(":", 1)[1]
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
         parse = Fraction if fractional else int
-        return [_number(ln, f"wake time in {path}", parse) for ln in lines]
+        return [_number(ln, f"wake time in {path}", parse) for ln in _lines(path)]
     raise ConfigError(f"unknown wake spec {spec!r}")
 
 
@@ -96,16 +103,12 @@ def _parse_topology(spec: str, m: int):
     if spec.startswith("edges:"):
         path = spec.split(":", 1)[1]
         edges = set()
-        with open(path) as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if not ln:
-                    continue
-                try:
-                    u, v = (int(x) for x in ln.split())
-                except ValueError:
-                    raise ConfigError(f"malformed edge line {ln!r} in {path}") from None
-                edges.add((min(u, v), max(u, v)))
+        for ln in _lines(path):
+            try:
+                u, v = (int(x) for x in ln.split())
+            except ValueError:
+                raise ConfigError(f"malformed edge line {ln!r} in {path}") from None
+            edges.add((min(u, v), max(u, v)))
         return Topology(m=m, edges=frozenset(edges), kind="edge-list")
     return adversary.build_topology(spec, m)
 

@@ -17,6 +17,13 @@ class ConfigError(ValueError):
 WAKE_GENERATORS = ("uniform-spread", "seeded-random", "adversarial-clustered")
 
 
+def check_int(name, value):
+    """value, if it is an int (a bool is not); else a ConfigError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def compute_k(n: int, m: int) -> int:
     """Schedule parameter: ceil(sqrt(8*n/m)), computed exactly.
 
@@ -37,6 +44,9 @@ class Topology:
     kind: str = "edge-list"
 
     def __post_init__(self):
+        check_int("m", self.m)
+        if not isinstance(self.edges, (set, frozenset)):
+            raise ConfigError(f"edges must be a set of (u, v) pairs, got {self.edges!r}")
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == 2 and all(isinstance(x, int) for x in e)
                     and 1 <= e[0] < e[1] <= self.m):
@@ -55,6 +65,7 @@ class Topology:
 
 
 def complete_topology(m: int) -> Topology:
+    check_int("m", m)
     edges = frozenset((u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1))
     return Topology(m=m, edges=edges, kind="complete")
 
@@ -122,10 +133,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     for name, optional in (("n", False), ("m", False), ("k_override", True),
                            ("max_ticks", True), ("seed", False)):
         value = getattr(cfg, name)
-        if value is None and optional:
-            continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an int, got {value!r}")
+        if value is not None or not optional:
+            check_int(name, value)
     if not isinstance(cfg.fractional, bool):
         raise ConfigError(f"fractional must be a bool, got {cfg.fractional!r}")
     if not isinstance(cfg.wake_times, (list, tuple, str)):

@@ -7,37 +7,38 @@ Event keys are integers, the instant times the engine's `unit` (1 here,
 finer on the fractional engine).  Handlers see ticks in their processor's
 own frame (protocols._Proto), which on this engine is the global tick.
 
+A processor's energy is the number of ticks its radio is on, and
+`_schedule` counts it where a tick is laid down: once per owner and tick,
+when the owner first takes the tick, however many of its policies cover
+it.  Both engines share that count; radio-on sets come exclusively from
+scheduled policies.
+
 Most radio-on ticks have one radio on, and such a lone tick changes
 nothing unless it ends one of its processor's policies (the contract in
 protocols._Proto).  So this engine gives a lone tick no event:
-`_schedule` records a tick's first radio straight into the trace (its
-on-set and energy count), and the tick becomes a radio-on event only when
-a second radio joins it or it is the last tick of a policy.  The
-fractional engine visits every radio-on tick.
+`_schedule` writes its on-set straight into the trace, and the tick
+becomes a radio-on event only when a second radio joins it or it is the
+last tick of a policy.  The fractional engine visits every radio-on tick.
 
 One tick is one communication round.  Within a radio-on tick, delivery
-runs in four sub-phases so that request/response exchanges happen inside
-a single tick (matching the round structure of the protocol handlers)
-while staying fully deterministic:
-
-  A  every radio-on processor emits its state-determined messages
-     (clock beacon, discovery/initial, queue hand-off, flatten report);
-  B  handlers consume the A-inbox in ascending sender id and may emit
-     reactions (queue-position responses);
-  C  handlers consume the B-inbox and may emit (round-k leadership
-     responses, decided only after all same-tick responses were seen);
-  D  handlers consume the C-inbox; no further emission is allowed.
+runs in sub-phases so that request/response exchanges happen inside a
+single tick (matching the round structure of the protocol handlers) while
+staying fully deterministic.  In sub-phase A every radio-on processor
+emits its state-determined messages (`transmissions`: clock beacon,
+discovery/initial, queue hand-off, flatten report).  Then each handler
+that the protocol class names in PHASES runs in turn on the inbox of what
+the sub-phase before it sent, in ascending sender id, and may emit for the
+next; the last must not emit.  Most classes name one, `react`.  The queue
+protocol's three answer queue positions (react), decide round-k leadership
+once every same-tick response is in (react2), and take the last (absorb).
 
 Messages are delivered only between radio-on topology neighbours, within
 the tick they are sent.  The topology has no self-loops, so sub-phase A
 runs only when two or more radios are on: a lone radio builds no messages,
 and its handlers run on empty inboxes.  A sub-phase's messages are sorted
-once, and each inbox is that list cut down to the senders its receiver
-hears.  C and D run only for a protocol class that overrides their
-handlers, or when B emitted.  Radio-on sets come exclusively from
-scheduled policies; a tick counts once for energy however many policies
-cover it.  The message log (`SimTrace.messages`) is recorded only on
-request.
+once (protocols.INBOX_ORDER), and each inbox is that list cut down to the
+senders its receiver hears.  The message log (`SimTrace.messages`) is
+recorded only on request.
 """
 
 import hashlib
@@ -241,9 +242,9 @@ class World:
     the 2n audit.  `_on_map` holds the radio-on set of each pending key.
     With `_skip_lone` (unit 1, see the module docstring), a pending key
     with one radio on that ends none of its owner's policies has no event
-    and no `_on_map` entry: it is already in `trace.on_sets` and
-    `trace.energy_counts`.  The fractional engine overrides only
-    `_time_unit` and the handlers.
+    and no `_on_map` entry: it is already in `trace.on_sets`.
+    `trace.energy_counts` is counted by `_schedule` alone.  The fractional
+    engine overrides only `_time_unit` and the handlers.
     """
 
     def __init__(self, cfg: SimConfig, record_messages: bool = False):
@@ -274,8 +275,7 @@ class World:
         heapq.heapify(self._events)
 
         self.procs = {i: cls(self, i) for i in range(1, self.m + 1)}
-        base = protocols._Proto
-        self._late_phases = cls.react2 is not base.react2 or cls.absorb is not base.absorb
+        self._phases = [getattr(cls, name) for name in cls.PHASES]
         self._skip_lone = self.unit == 1
         self._awake: set[int] = set()
         self._in_wake_hook = False
@@ -321,34 +321,35 @@ class World:
         end = (self.horizon + 1) * unit
         lone = self.trace.on_sets if self._skip_lone else None
         alone = (owner,)
-        counts = self.trace.energy_counts
+        energy_counts = self.trace.energy_counts
         for pos in policy.one_positions:
             g = base + pos * unit
             if lo <= g < end:
                 on = on_map.get(g)
                 if on is not None:
+                    if owner in on:
+                        continue
                     on.add(owner)
                 elif lone is None:  # first radio-on slot at g
                     on_map[g] = {owner}
                     heapq.heappush(events, (g, 1, 0))
                 else:
                     first = lone.setdefault(g, alone)
-                    if first is alone:  # a lone tick, recorded now
-                        counts[owner] += 1
-                    elif first != alone:  # a second radio: g needs its event
-                        self._promote(g)
+                    if first is not alone:  # g is already a lone tick
+                        if first == alone:  # the owner's own
+                            continue
+                        self._promote(g)  # a second radio: g needs its event
                         on_map[g].add(owner)
+                energy_counts[owner] += 1  # the owner's first hold on g
         # g is now the policy's last tick, where protocols change state
         if lone is not None and g >= lo and lone.get(g) == alone:
             self._promote(g)
         return rec
 
     def _promote(self, g):
-        """Give the pending lone key g its radio-on event: withdraw the
-        tick's eager on-set and energy count."""
-        (owner,) = self.trace.on_sets.pop(g)
-        self.trace.energy_counts[owner] -= 1
-        self._on_map[g] = {owner}
+        """Give the pending lone key g its radio-on event; its on-set is
+        written again when the event is handled."""
+        self._on_map[g] = set(self.trace.on_sets.pop(g))
         heapq.heappush(self._events, (g, 1, 0))
 
     # -- clock bookkeeping ---------------------------------------------------
@@ -394,9 +395,9 @@ class World:
     def step(self):
         """Advance one tick: handle every event queued before the next one.
 
-        With lone ticks skipped, a mid-run trace already holds the lone
-        ticks scheduled so far in `on_sets` and `energy_counts`, future ones
-        included."""
+        A mid-run trace's `energy_counts` count every tick scheduled so far,
+        future ones included; with lone ticks skipped, its `on_sets` hold
+        the lone ones too."""
         nxt = self.tick + 1
         self._handle_events_before(nxt)
         self.tick = nxt
@@ -426,23 +427,18 @@ class World:
                     self.procs[pid].audit(instant)
 
     def _on_instant(self, key, t):
-        """Radio-on tick: account energy, exchange, end the tick."""
+        """Radio-on tick: transmissions, then each sub-phase on what the one
+        before it sent, then the end of the tick."""
         on_sorted = sorted(self._on_map.pop(key))
         self.trace.on_sets[t] = tuple(on_sorted)
-        counts = self.trace.energy_counts
-        for pid in on_sorted:
-            counts[pid] += 1
         procs = [self.procs[pid] for pid in on_sorted]
         # no self-loops: nobody hears a lone radio, so it builds no messages
-        sent = [p.transmissions(t) for p in procs] if len(procs) > 1 else ()
-        inbox = self._exchange(t, on_sorted, sent)
-        out = [p.react(t, inbox.get(p.id, ())) for p in procs]
-        if self._late_phases or any(out):
+        out = [p.transmissions(t) for p in procs] if len(procs) > 1 else ()
+        for handler in self._phases:
             inbox = self._exchange(t, on_sorted, out)
-            inbox = self._exchange(t, on_sorted,
-                                   [p.react2(t, inbox.get(p.id, ())) for p in procs])
-            if any([p.absorb(t, inbox.get(p.id, ())) for p in procs]):
-                raise RuntimeError("absorb phase must not emit messages")
+            out = [handler(p, t, inbox.get(p.id, ())) for p in procs]
+        if any(out):
+            raise RuntimeError(f"{type(procs[0]).PHASES[-1]} phase must not emit messages")
         for p in procs:
             p.tick_end(t)
 
@@ -461,7 +457,7 @@ class World:
                     receivers = tuple(v for v in on_sorted if v in adj[pid])
                     log.extend((pid, msg.kind, msg.payload, receivers) for msg in out)
         # sorted once, stably; filtering keeps that order in every inbox
-        sent.sort(key=lambda msg: (msg.sender, msg.kind, msg.payload))
+        sent.sort(key=protocols.INBOX_ORDER)
         return {v: [msg for msg in sent if msg.sender in adj[v]] for v in on_sorted}
 
 

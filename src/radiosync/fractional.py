@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .core import ConfigError
 from .engine import SimTrace, World
-from .protocols import HALF, PROTOCOLS, Message
+from .protocols import HALF, INBOX_ORDER, PROTOCOLS, Message
 from .protocols import adopt_fractional  # noqa: F401  (this mode's carry rule)
 
 
@@ -106,12 +106,11 @@ class FracWorld(World):
         super()._wake(math.floor(instant), pid)  # a wake's local tick: its integer part
 
     def _on_instant(self, key, instant):
-        """Slot starts: account energy and exchange with overlapping slots."""
+        """Slot starts: open each slot and exchange with overlapping slots."""
         starters = sorted(self._on_map.pop(key))
         unit, procs = self.unit, self.procs
         close = key + unit // 2
         for pid in starters:
-            self.trace.energy_counts[pid] += 1
             self._slots[pid] = (key, instant, [])
             heapq.heappush(self._events, (close, 2, pid))
         self.trace.on_sets[instant] = tuple(starters)
@@ -135,8 +134,7 @@ class FracWorld(World):
                         Message(m.kind, m.sender, m.tau, m.j, m.payload, m.q, rx_qp)
                         for m in out)
         for pid in sorted(deliveries):
-            msgs = sorted(deliveries[pid],
-                          key=lambda m: (m.sender, m.kind, m.payload))
+            msgs = sorted(deliveries[pid], key=INBOX_ORDER)
             s_key, _, inbox = self._slots[pid]
             inbox.extend(msgs)
             proto = procs[pid]

@@ -3,8 +3,9 @@
 Each processor is one object: its clock, its progress counter, its trace
 hooks and its algorithm's handlers.
 
-Four algorithms share the same handler interface (on_wake / transmissions /
-react / react2 / absorb / tick_end / audit):
+Four algorithms share one handler interface: on_wake, transmissions, the
+sub-phase handlers their class names in PHASES (react; the queue protocol
+adds react2 and absorb), tick_end and audit:
 
   synchronize    phased merge: basic policy, then repeated flatten
                  rescheduling, then one final basic policy;
@@ -35,12 +36,14 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .core import ceil_log2, compute_k
 from .policy import PolicyString, naive_policy
 
 HALF = Fraction(1, 2)
+# the order of every inbox: by sender, then kind, then payload
+INBOX_ORDER = attrgetter("sender", "kind", "payload")
 # the one-tick policy of a reschedule's report exchange
 STAGE2_POLICY = PolicyString((1,), 1)
 
@@ -168,6 +171,7 @@ class _Proto:
 
     phi = 0
     off = 0
+    PHASES = ("react",)  # the handlers run after transmissions (see engine)
     SINGLE_HOP = False
     FRACTIONAL = True
     STRUCTURAL_CHECKS = ()
@@ -258,12 +262,6 @@ class _Proto:
         return []
 
     def react(self, t, inbox):
-        return []
-
-    def react2(self, t, inbox):
-        return []
-
-    def absorb(self, t, inbox):
         return []
 
     def tick_end(self, t):
@@ -397,6 +395,7 @@ class DynamicProto(_Proto):
     """
 
     USES_POLICY_PROGRESS = False
+    PHASES = ("react", "react2", "absorb")
     SINGLE_HOP = True
     FRACTIONAL = False  # the queue hand-off's sub-unit timing is not defined
     STRUCTURAL_CHECKS = ("dynamic",)

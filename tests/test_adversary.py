@@ -37,6 +37,22 @@ def test_malformed_topology_specs_raise_config_error(spec, m):
         adversary.build_topology(spec, m)
 
 
+@pytest.mark.parametrize("build", [
+    # each once raised TypeError from a comparison
+    lambda: adversary.two_clique(None),
+    lambda: adversary.two_clique("4"),
+    lambda: adversary.unit_disk_two_clique(None),
+    lambda: adversary.l_connected(16, "1"),
+    lambda: adversary.l_connected(16, None),
+    lambda: adversary.l_connected(None, 1),
+    lambda: adversary.complete_topology(None),
+], ids=["two-clique-None", "two-clique-str", "unit-disk-None", "l-connected-str-ell",
+        "l-connected-None-ell", "l-connected-None-m", "complete-None"])
+def test_topology_constructors_reject_non_int_sizes(build):
+    with pytest.raises(ConfigError, match="must be an int"):
+        build()
+
+
 def test_unit_disk_exact_boundary():
     # distance exactly r is an edge; anything farther is not
     t = adversary.unit_disk([(0, 0), (2, 0), (Fraction(41, 20), 0)], 2)

@@ -296,3 +296,84 @@ def test_dynamic_checker_queue_at_two_n():
     rep = analysis.check_dynamic(tr)
     assert rep.passed
     assert any("queue at 2n" in d for d in rep.details)
+
+
+# --- the checkers on broken traces -------------------------------------------
+# Each test breaks one guarantee of a run that passes, by hand, and expects the
+# checker to fail and to name what broke.
+
+def sync_run_and_group():
+    """A passing synchronize run and the index of the first stage-2 record
+    of its largest report group (7 members)."""
+    tr = run(SimConfig(n=64, m=8, wake_times="seeded-random", algorithm="synchronize"))
+    assert analysis.check_flatten(tr).passed
+    sizes = {}
+    for r in tr.stage2:
+        sizes[r.tick] = sizes.get(r.tick, 0) + 1
+    tick = max(sizes, key=sizes.get)
+    assert sizes[tick] > 1
+    return tr, next(i for i, r in enumerate(tr.stage2) if r.tick == tick)
+
+
+def assert_fails_naming(report, detail):
+    assert report.passed is False
+    assert any(detail in d for d in report.details), report.details
+
+
+@pytest.mark.parametrize("field", ["member_ids", "len_c", "next_global"])
+def test_check_flatten_fails_on_a_changed_report(field):
+    tr, i = sync_run_and_group()
+    r = tr.stage2[i]
+    changed = {"member_ids": r.member_ids[1:], "len_c": r.len_c + 1,
+               "next_global": r.next_global + 1}[field]
+    tr.stage2[i] = dataclasses.replace(r, **{field: changed})
+    detail = {"member_ids": f"tick {r.tick}: inconsistent report sets",
+              "len_c": f"tick {r.tick}: members disagree on cluster data",
+              "next_global": f"p{r.owner} scheduled {r.next_global + 1},"
+                             f" expected {r.next_global}"}[field]
+    assert_fails_naming(analysis.check_flatten(tr), detail)
+
+
+@pytest.mark.parametrize("how", ["dropped", "moved"])
+def test_check_flatten_fails_on_a_broken_successor(how):
+    tr, i = sync_run_and_group()
+    r = tr.stage2[i]
+    succ = [j for j, p in enumerate(tr.policies)
+            if p.kind == "basic" and (p.owner, p.phase) == (r.owner, r.phase + 1)]
+    assert tr.policies[succ[0]].nominal_start == r.next_global
+    if how == "dropped":
+        for j in reversed(succ):
+            del tr.policies[j]
+        detail = f"successor policy missing for p{r.owner}"
+    else:
+        p = tr.policies[succ[0]]
+        tr.policies[succ[0]] = dataclasses.replace(p, nominal_start=p.nominal_start + 1)
+        detail = f"p{r.owner} policy at {r.next_global + 1}, scheduled {r.next_global}"
+    assert_fails_naming(analysis.check_flatten(tr), detail)
+
+
+def dynamic_run():
+    tr = run(SimConfig(n=64, m=8, wake_times="uniform-spread", algorithm="dynamic-synch"))
+    assert analysis.check_dynamic(tr).passed
+    return tr
+
+
+def test_check_dynamic_fails_on_overlapping_blocks():
+    tr = dynamic_run()
+    block = next(r for r in tr.policies if r.kind == "dyn-block")
+    assert block.meta["origin"] + 1 <= 2 * tr.n
+    tr.policies.append(dataclasses.replace(block, owner=tr.m + 1))
+    assert_fails_naming(analysis.check_dynamic(tr), "windows overlap in [0,2n]")
+
+
+def test_check_dynamic_fails_without_a_queue_lineage():
+    tr = dynamic_run()
+    tr.dyn_events = [e for e in tr.dyn_events if e[1] not in ("lead", "own")]
+    assert_fails_naming(analysis.check_dynamic(tr), "no queue lineage alive at 2n")
+
+
+def test_check_dynamic_fails_on_a_short_queue():
+    tr = dynamic_run()
+    tr.dyn_events = [(t, kind, pid, payload[:1] if kind in ("lead", "own", "q") else payload)
+                     for t, kind, pid, payload in tr.dyn_events]
+    assert_fails_naming(analysis.check_dynamic(tr), "has 1 < m/2 entries")

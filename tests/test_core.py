@@ -176,3 +176,16 @@ def test_topology_helpers():
 def test_malformed_edges_rejected(edge):
     with pytest.raises(ConfigError, match="bad edge"):
         Topology(m=2, edges=frozenset({edge}))
+
+
+@pytest.mark.parametrize("m, edges, match", [
+    # each once raised TypeError, or (m=True) built a graph
+    ("2", frozenset({(1, 2)}), "m must be an int"),
+    (True, frozenset(), "m must be an int"),
+    (2.0, frozenset(), "m must be an int"),
+    (2, None, "edges must be a set"),
+    (2, 5, "edges must be a set"),
+])
+def test_malformed_topology_rejected(m, edges, match):
+    with pytest.raises(ConfigError, match=match):
+        Topology(m=m, edges=edges)
