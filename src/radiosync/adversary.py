@@ -10,7 +10,8 @@ meaningful at small n.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ConfigError, SimConfig, Topology, check_int, complete_topology
+from .core import (ConfigError, SimConfig, Topology, check_int, check_rational,
+                   complete_topology)
 from .engine import energy, run
 from .policy import PolicyString, basic_policy, masks_overlap
 from .protocols import PROTOCOLS, ceil_sqrt
@@ -58,8 +59,17 @@ def l_connected(m: int, ell: int) -> Topology:
 def unit_disk(positions, radius) -> Topology:
     """Edges between points at Euclidean distance <= radius, compared on
     exact squared rationals."""
-    pts = [(Fraction(x), Fraction(y)) for x, y in positions]
-    r2 = Fraction(radius) ** 2
+    try:
+        pairs = [tuple(p) for p in positions]
+    except TypeError:
+        pairs = None
+    if pairs is None or any(len(p) != 2 for p in pairs):
+        raise ConfigError(f"positions must be (x, y) pairs, got {positions!r}")
+    pts = [(check_rational("x", x), check_rational("y", y)) for x, y in pairs]
+    r = check_rational("radius", radius)
+    if r < 0:
+        raise ConfigError(f"radius must be >= 0, got {radius!r}")
+    r2 = r * r
     edges = set()
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -94,7 +104,7 @@ def unit_disk_two_clique(m: int, radius=2) -> tuple:
     half = m // 2
     if half > len(_CIRCLE_DIRECTIONS) - 1:
         raise ConfigError(f"placement supports at most {2 * (len(_CIRCLE_DIRECTIONS) - 1)} vertices")
-    r = Fraction(radius)
+    r = check_rational("radius", radius)
     rr = r / 2
     left_centre = (Fraction(0), Fraction(0))
     right_centre = (2 * r, Fraction(0))
@@ -214,7 +224,9 @@ def _search_pairwise(masks, n):
 def schedule_family(n: int, c: int) -> dict:
     """Structured length-bounded schedules with exactly c on-ticks each:
     evenly spaced, a solid prefix, and a truncated basic policy."""
-    if c < 1 or c > n + 1:
+    if check_int("n", n) < 1:
+        raise ConfigError("n must be >= 1")
+    if check_int("c", c) < 1 or c > n + 1:
         raise ConfigError("need 1 <= c <= n + 1")
     family = {}
     if c == 1:
@@ -239,8 +251,9 @@ def schedule_family(n: int, c: int) -> dict:
 def budget_curve(n: int, c_max: int) -> list:
     """For each on-budget c, whether every structured schedule of c ones is
     defeated by some offset pair (a desk-scale probe, not a proof)."""
+    check_int("n", n)
     rows = []
-    for c in range(1, c_max + 1):
+    for c in range(1, check_int("c_max", c_max) + 1):
         family = schedule_family(n, c)
         outcomes = {}
         for name, bits in sorted(family.items()):

@@ -110,15 +110,21 @@ def generate_wakes(kind: str, n: int, m: int, seed: int) -> list[int]:
     raise ConfigError(f"unknown wake generator {kind!r}; choose from {WAKE_GENERATORS}")
 
 
+def check_rational(name, value):
+    """value as an exact Fraction, from an int, a Fraction or a string such as
+    '1/3' (a float or a bool is refused); else a ConfigError naming it."""
+    if isinstance(value, (bool, float)):
+        raise ConfigError(f"{name} {value!r} is not an exact rational number"
+                          " (give an int, a Fraction or a string such as '1/3')")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise ConfigError(f"{name} {value!r} is not a rational number") from None
+
+
 def _as_wake(value, fractional: bool):
     if fractional:
-        if isinstance(value, (bool, float)):
-            raise ConfigError(f"wake time {value!r} is not an exact rational number"
-                              " (give an int, a Fraction or a string such as '1/3')")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError, TypeError):
-            raise ConfigError(f"wake time {value!r} is not a rational number") from None
+        return check_rational("wake time", value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"wake time {value!r} is not an integer (use fractional mode for rationals)")
     return value

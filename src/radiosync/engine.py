@@ -36,9 +36,14 @@ Messages are delivered only between radio-on topology neighbours, within
 the tick they are sent.  The topology has no self-loops, so sub-phase A
 runs only when two or more radios are on: a lone radio builds no messages,
 and its handlers run on empty inboxes.  A sub-phase's messages are sorted
-once (protocols.INBOX_ORDER), and each inbox is that list cut down to the
-senders its receiver hears.  The message log (`SimTrace.messages`) is
-recorded only on request.
+once (protocols.INBOX_ORDER).  On a multi-hop topology each inbox is that
+list cut down to the senders its receiver hears.  On the complete topology
+every radio hears every other, so with SHARED_MIN_RADIOS or more radios on
+the delivery is shared: each inbox is the list less its receiver's own
+block of messages (a protocols.Inbox), and the early-sync winner and the
+edge contacts are read from what the sub-phase found once, not scanned
+per receiver.  The fractional engine delivers per slot, into plain lists.
+The message log (`SimTrace.messages`) is recorded only on request.
 """
 
 import hashlib
@@ -257,6 +262,7 @@ class World:
         self.k = cfg.k_override if cfg.k_override is not None else cls.schedule_k(cfg.n, cfg.m)
         self.horizon = cfg.max_ticks if cfg.max_ticks is not None else cls.horizon(cfg.n, self.k)
         self.adj = cfg.topology.adjacency()
+        self._complete = cfg.topology.is_complete  # so _exchange shares one delivery
         self.tick = 0
         # the k-basic policy, one object shared by every processor's records
         self.basic = basic_policy(self.k)
@@ -445,7 +451,14 @@ class World:
     def _exchange(self, t, on_sorted, outs):
         """Deliver one sub-phase's messages (outs[i] is what on_sorted[i]
         sent); returns every radio-on receiver's inbox ({} if none was sent,
-        or if fewer than two radios are on to send and hear)."""
+        or if fewer than two radios are on to send and hear).
+
+        Every inbox holds, in INBOX_ORDER, the messages its receiver hears,
+        none of its own.  On the complete topology, with SHARED_MIN_RADIOS
+        or more radios on, each is a protocols.Inbox sharing the
+        sub-phase's `first` and `lead`: one pass over the
+        senders finds each one's block in the sorted list by the lengths of
+        `outs`, with no pass over the messages."""
         sent = [msg for out in outs if out for msg in out] if len(on_sorted) > 1 else ()
         if not sent:
             return {}
@@ -458,8 +471,36 @@ class World:
                     log.extend((pid, msg.kind, msg.payload, receivers) for msg in out)
         # sorted once, stably; filtering keeps that order in every inbox
         sent.sort(key=protocols.INBOX_ORDER)
-        return {v: [msg for msg in sent if msg.sender in adj[v]] for v in on_sorted}
+        if not self._complete or len(on_sorted) < SHARED_MIN_RADIOS:
+            return {v: [msg for msg in sent if msg.sender in adj[v]] for v in on_sorted}
+        # Everyone hears everyone else, and the sort left each sender's
+        # messages in one block, in on_sorted order, len(out) long.
+        Inbox = protocols.Inbox
+        first, boxes = {}, {}
+        best = second = None
+        lo = 0
+        for v, out in zip(on_sorted, outs):
+            box = boxes[v] = Inbox(sent)
+            if out:
+                msg = first[v] = sent[lo]
+                hi = lo + len(out)
+                del box[lo:hi]
+                lo = hi
+                # senders ascend, so on equal j the later one is larger
+                if best is None or msg.j >= best.j:
+                    best, second = msg, best
+                elif second is None or msg.j >= second.j:
+                    second = msg
+        lead = (best, second)
+        for box in boxes.values():
+            box.lead = lead
+            box.first = first
+        return boxes
 
+
+# With fewer radios on, r short filters cost less than the shared delivery's
+# bookkeeping; at four the two are level (BENCH_16.json, "exchange_micro")
+SHARED_MIN_RADIOS = 4
 
 # json.dumps(obj, sort_keys=True) is this encoder's encode(obj)
 _CFG_ENCODER = json.JSONEncoder(sort_keys=True)

@@ -103,9 +103,30 @@ class Stage2Record:
         }
 
 
+class Inbox(list):
+    """One receiver's inbox on a shared delivery (engine.World._exchange):
+    the sub-phase's sorted messages less the receiver's own.  Every inbox
+    of the sub-phase shares `first` (sender -> its first message) and
+    `lead` (the first messages of the two largest (j, sender) senders, the
+    second None when one sender sent), which stand for all of a sender's
+    messages because they share one (tau, j, q) (see _Proto)."""
+
+    __slots__ = ("lead", "first")
+
+
 def sync_winner(j, pid, inbox):
     """The early-sync winner: the first message with the lexicographically
-    largest (j, sender), if that beats the receiver's own (j, pid); else None."""
+    largest (j, sender), if that beats the receiver's own (j, pid); else None.
+
+    On an Inbox that message is its `lead[0]`, or `lead[1]` when the
+    receiver pid sent `lead[0]`; on a plain list the messages are scanned."""
+    if type(inbox) is Inbox:
+        best, second = inbox.lead
+        if best.sender == pid:
+            best = second
+        if best is not None and (best.j > j or (best.j == j and best.sender > pid)):
+            return best
+        return None
     best = None
     for msg in inbox:
         if msg.j > j or (msg.j == j and msg.sender > pid):
@@ -163,6 +184,14 @@ class _Proto:
     non-leader, whose first main tick is the previous block's pass tick,
     and the only flag it can raise is `missing-pass`.
 
+    Every message one processor sends in one sub-phase carries the same
+    tau, j and q: handlers build their messages after they adopt, and
+    nothing changes a clock between a processor's handler and its next.
+    So on a shared delivery (Inbox) a sender's first message stands for
+    all of them, in `sync_winner` and `edge_contacts`.  `_unmet` holds the
+    neighbours a processor has no edge contact with yet; the end that
+    records a pair's contact takes each end out of the other's set.
+
     Each algorithm's class states its own facts, read through PROTOCOLS:
     `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
     completion guarantee), `budget(n, k)` (the energy bound per processor),
@@ -182,7 +211,7 @@ class _Proto:
         self.trace = world.trace
         self.id = pid
         self.n, self.k = world.n, world.k
-        self.edge_count = len(world.cfg.topology.edges)
+        self._unmet = set(world.adj[pid])  # neighbours with no edge contact yet
         self.wake = None
         self._delta = None  # tau(t) = t + delta, t local
         self._jsteps = []  # [(effective_tick, jdelta)], strictly ascending
@@ -241,16 +270,24 @@ class _Proto:
         self.trace.flags.append(text)
 
     def edge_contacts(self, t, inbox):
-        """Record each new edge to an inbox sender with its clock delta."""
-        contacts = self.trace.edge_contacts
-        if len(contacts) == self.edge_count:
+        """Record each new edge to an inbox sender with its clock delta, at
+        the sender's first message; both ends then count the edge as met."""
+        unmet = self._unmet
+        if not unmet:
             return
-        tau, me = self.tau(t), self.id
-        for msg in inbox:
+        if type(inbox) is Inbox:
+            first = inbox.first
+            new = [first[v] for v in sorted(unmet.intersection(first))]
+        else:
+            new = [msg for msg in inbox if msg.sender in unmet]
+        contacts, procs = self.trace.edge_contacts, self.world.procs
+        tau, me, at = self.tau(t), self.id, t + self.phi
+        for msg in new:
             other = msg.sender
-            key = (me, other) if me < other else (other, me)
-            if key not in contacts:
-                contacts[key] = (t + self.phi, msg.tau - tau)
+            if other in unmet:  # a plain list may hold several of its messages
+                unmet.discard(other)
+                procs[other]._unmet.discard(me)
+                contacts[(me, other) if me < other else (other, me)] = (at, msg.tau - tau)
 
     # handlers ---------------------------------------------------------------
     def on_wake(self, t):

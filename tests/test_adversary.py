@@ -53,6 +53,28 @@ def test_topology_constructors_reject_non_int_sizes(build):
         build()
 
 
+@pytest.mark.parametrize("call", [
+    # each once raised TypeError or ValueError, or ran: a float coordinate
+    # as its binary expansion, a negative radius as its absolute value
+    lambda: adversary.unit_disk(None, 1),
+    lambda: adversary.unit_disk([(0, 0), (1, 1)], "x"),
+    lambda: adversary.unit_disk([(0, 0), (1,)], 1),
+    lambda: adversary.unit_disk([(0, 0), (1, 0.5)], 1),
+    lambda: adversary.unit_disk([(0, 0), (1, 0)], -1),
+    lambda: adversary.unit_disk_two_clique(4, -2),
+    lambda: adversary.schedule_family(None, 1),
+    lambda: adversary.schedule_family(0, 1),
+    lambda: adversary.budget_curve("8", 2),
+    lambda: adversary.budget_curve(8, None),
+], ids=["unit-disk-None", "unit-disk-str-radius", "unit-disk-short-pair",
+        "unit-disk-float", "unit-disk-negative-radius", "unit-disk-placement-negative-radius",
+        "schedule-family-None", "schedule-family-zero",
+        "budget-curve-str", "budget-curve-None"])
+def test_probes_reject_malformed_arguments(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
 def test_unit_disk_exact_boundary():
     # distance exactly r is an edge; anything farther is not
     t = adversary.unit_disk([(0, 0), (2, 0), (Fraction(41, 20), 0)], 2)

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from radiosync.core import SimConfig, ceil_log2
 from radiosync.engine import World, energy, run
-from radiosync.protocols import Message, ceil_sqrt, dynamic_next, flatten_next, sync_winner
+from radiosync.protocols import (Inbox, Message, ceil_sqrt, dynamic_next, flatten_next,
+                                 sync_winner)
 
 
 # --- pure operations -------------------------------------------------------
@@ -43,6 +44,38 @@ def test_early_sync_winner_is_first_maximum():
     assert sync_winner(5, 1, inbox) is inbox[2]
     assert sync_winner(8, 4, inbox) is None
     assert sync_winner(8, 3, inbox) is inbox[2]
+
+
+def _shared_inboxes(on, beacons):
+    """The inboxes of one shared sub-phase on the complete topology: the
+    radios `on` (at least SHARED_MIN_RADIOS) send the (sender, tau, j)
+    `beacons`."""
+    world = World(SimConfig(n=8, m=max(on), algorithm="naive"))
+    outs = [[_beacon(*b) for b in beacons if b[0] == pid] for pid in on]
+    return world._exchange(0, on, outs)
+
+
+@pytest.mark.parametrize("on, beacons, receiver, j, winner", [
+    # the receiver sent the best pair, but its progress is lower now
+    ([1, 2, 3, 4], [(1, 30, 5), (2, 31, 5), (3, 40, 9)], 3, 4, 2),
+    ([1, 2, 3, 4], [(1, 40, 9), (2, 30, 5), (3, 31, 5)], 1, 4, 3),
+    # one sender: the others hear it, it hears nothing
+    ([1, 2, 3, 4], [(2, 20, 3)], 1, 1, 2),
+    ([1, 2, 3, 4], [(2, 20, 3)], 2, 3, None),
+    # equal progress: the larger id wins, and yields to a larger receiver
+    ([2, 3, 4, 5], [(2, 12, 7), (3, 14, 7), (4, 13, 7)], 3, 7, 4),
+    ([2, 3, 4, 5], [(2, 12, 7), (3, 14, 7), (4, 13, 7)], 5, 7, None),
+    # the best other sender does not beat the receiver's own pair
+    ([1, 2, 3, 4], [(1, 8, 2), (2, 9, 3), (4, 1, 6)], 4, 6, None),
+    ([1, 2, 3, 4], [(1, 8, 2), (2, 9, 3), (4, 1, 6)], 3, 7, None),
+], ids=["receiver-best", "receiver-best-tie", "one-sender-heard", "one-sender-itself", "tie-on-j",
+        "tie-on-j-receiver-larger", "no-beat-receiver-best", "no-beat"])
+def test_early_sync_on_a_shared_inbox(on, beacons, receiver, j, winner):
+    box = _shared_inboxes(on, beacons)[receiver]
+    assert type(box) is Inbox
+    best = sync_winner(j, receiver, box)
+    assert best is sync_winner(j, receiver, list(box))  # the scan over the same messages
+    assert (best and best.sender) == winner
 
 
 @given(st.integers(1, 50), st.integers(0, 100),
