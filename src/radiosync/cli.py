@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from . import adversary, analysis
 from .core import ConfigError, SimConfig, Topology
@@ -170,25 +171,53 @@ def _report(trace, checks, fractional) -> dict:
     return out
 
 
+_ROWS_PER_WRITE = 256  # rows joined into one write; bounds the buffer
+
+
 def _write_trace_csv(trace, path):
     """One row per tick: the radio-on ids, then every displayed clock
-    (blank before wake).  The clock events come in tick order, so one
-    pointer sweeps them in step with the rows; between events a clock
-    reads t + delta with delta = tau - event tick."""
-    events = trace.clock_events
-    deltas = [None] * trace.m  # processor i at index i - 1
-    nxt = 0
+    (blank before wake).
+
+    The clock events come in tick order (integer engine), so the ticks
+    fall into segments: a segment starts at an event tick, after all of
+    that tick's events, and ends before the next event tick.  Within one,
+    clock i reads t + delta_i with delta_i = tau - event tick fixed, and
+    the deltas take few distinct values (one, once the clocks agree), so a
+    row formats each distinct t + delta once and places the strings into
+    the clock columns through the segment's index.
+
+    The bytes are those of csv.writer's excel dialect: comma-separated,
+    "\\r\\n" after every row, no quoting, which none of these fields (ints,
+    blanks, space-separated ids) needs.  Rows go out _ROWS_PER_WRITE at a
+    time, so the buffer stays bounded however long a segment is."""
+    m, stop, events = trace.m, trace.horizon + 1, trace.clock_events
+    on = {t: " ".join(map(str, ids)) for t, ids in trace.on_sets.items()}
+    cuts = [e[0] for e in events if 0 < e[0] < stop]
+    deltas = [None] * m  # processor i at index i - 1
+    nxt, buf = 0, []
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tick", "radio_on",
-                         *[f"tau_{i}" for i in range(1, trace.m + 1)]])
-        for t in range(trace.horizon + 1):
+        fh.write(",".join(["tick", "radio_on", *[f"tau_{i}" for i in range(1, m + 1)]])
+                 + "\r\n")
+        for t, end in zip([0, *cuts], [*cuts, stop]):  # a segment: ticks t..end-1
             while nxt < len(events) and events[nxt][0] <= t:
                 tick, owner, tau, _q = events[nxt]
                 deltas[owner - 1] = tau - tick
                 nxt += 1
-            writer.writerow([t, " ".join(map(str, trace.on_sets.get(t, ()))),
-                             *["" if d is None else t + d for d in deltas]])
+            if t == end:
+                continue  # several events at one tick leave empty segments
+            # a row's cells: its radio-on ids, t + each distinct delta, a blank
+            distinct = sorted({d for d in deltas if d is not None})
+            slot = {d: i for i, d in enumerate(distinct, 1)}
+            pick = itemgetter(0, *[len(distinct) + 1 if d is None else slot[d] for d in deltas])
+            while t < end:
+                upto = min(end, t + _ROWS_PER_WRITE - len(buf))
+                buf += [f"{u},{','.join(pick([on.get(u, ''), *[str(u + d) for d in distinct], '']))}"
+                        "\r\n" for u in range(t, upto)]
+                t = upto
+                if len(buf) == _ROWS_PER_WRITE:
+                    fh.write("".join(buf))
+                    buf.clear()
+        fh.write("".join(buf))
 
 
 def cmd_run(args) -> int:

@@ -188,9 +188,11 @@ class _Proto:
     tau, j and q: handlers build their messages after they adopt, and
     nothing changes a clock between a processor's handler and its next.
     So on a shared delivery (Inbox) a sender's first message stands for
-    all of them, in `sync_winner` and `edge_contacts`.  `_unmet` holds the
-    neighbours a processor has no edge contact with yet; the end that
-    records a pair's contact takes each end out of the other's set.
+    all of them, in `sync_winner` and `edge_contacts`.  A class that calls
+    `edge_contacts` sets RECORDS_EDGES; its processors then hold `_unmet`,
+    the neighbours with no edge contact yet, and the end that records a
+    pair's contact takes each end out of the other's set (every processor
+    of a world has the one class, so the other's set exists).
 
     Each algorithm's class states its own facts, read through PROTOCOLS:
     `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
@@ -203,6 +205,7 @@ class _Proto:
     PHASES = ("react",)  # the handlers run after transmissions (see engine)
     SINGLE_HOP = False
     FRACTIONAL = True
+    RECORDS_EDGES = False
     STRUCTURAL_CHECKS = ()
     schedule_k = staticmethod(compute_k)
 
@@ -211,7 +214,8 @@ class _Proto:
         self.trace = world.trace
         self.id = pid
         self.n, self.k = world.n, world.k
-        self._unmet = set(world.adj[pid])  # neighbours with no edge contact yet
+        if self.RECORDS_EDGES:
+            self._unmet = set(world.adj[pid])  # neighbours with no edge contact yet
         self.wake = None
         self._delta = None  # tau(t) = t + delta, t local
         self._jsteps = []  # [(effective_tick, jdelta)], strictly ascending
@@ -576,6 +580,7 @@ class NaiveProto(_Proto):
     """Always-on baseline: n+1 consecutive on-ticks, early-sync adoption."""
 
     USES_POLICY_PROGRESS = False
+    RECORDS_EDGES = True
 
     @staticmethod
     def schedule_k(n, m):
@@ -607,6 +612,7 @@ class PairwiseProto(_Proto):
     Clocks are never adjusted."""
 
     USES_POLICY_PROGRESS = False
+    RECORDS_EDGES = True
 
     @staticmethod
     def schedule_k(n, m):

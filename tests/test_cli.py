@@ -5,10 +5,13 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from radiosync.cli import _write_trace_csv, main
+from radiosync.adversary import build_topology
+from radiosync.cli import _ROWS_PER_WRITE, _write_trace_csv, main
 from radiosync.core import SimConfig
 from radiosync.engine import World, run
+from radiosync.protocols import PROTOCOLS
 
 
 def run_cli(args, capsys):
@@ -224,6 +227,74 @@ def test_trace_csv_matches_tau_at(tmp_path, algorithm, n, wakes):
     assert b",," in path.read_bytes()
     twice = Counter((t, o) for t, o, _tau, _q in trace.clock_events)
     assert (max(twice.values()) > 1) == (algorithm != "pairwise")
+
+
+# the topologies the baselines run on, and the processor counts each allows
+# (l-connected:1 needs m > 12); the single-hop algorithms run on the first
+TOPOLOGY_MS = {
+    "complete": st.integers(1, 8),
+    "two-clique": st.sampled_from([2, 4, 6, 8]),
+    "l-connected:1": st.sampled_from([14, 16]),
+    "unit-disk": st.sampled_from([2, 4, 6, 8]),
+}
+
+
+@st.composite
+def csv_configs(draw):
+    algorithm = draw(st.sampled_from(sorted(PROTOCOLS)))
+    spec = "complete"
+    if not PROTOCOLS[algorithm].SINGLE_HOP:
+        spec = draw(st.sampled_from(sorted(TOPOLOGY_MS)))
+    m, n = draw(TOPOLOGY_MS[spec]), draw(st.integers(1, 24))
+    return SimConfig(n=n, m=m, wake_times=draw(st.lists(st.integers(0, n), min_size=m,
+                                                        max_size=m)),
+                     topology=build_topology(spec, m), algorithm=algorithm,
+                     k_override=draw(st.none() | st.integers(1, 6)),
+                     # below the last wake, some processor never wakes
+                     max_ticks=draw(st.none() | st.integers(0, 8 * n)))
+
+
+# the segment cases the writer must get right, each checked below
+CSV_EXAMPLES = {
+    # three wakes, and then adoptions, at one tick
+    "events-at-one-tick": SimConfig(n=12, m=4, wake_times=[3, 3, 3, 7]),
+    # the one row is tick 0, where both events are
+    "event-at-tick-0": SimConfig(n=6, m=3, wake_times=[0, 0, 4], algorithm="naive",
+                                 max_ticks=0),
+    # processor 3 wakes and adopts on the last tick
+    "event-on-last-tick": SimConfig(n=8, m=3, wake_times=[0, 2, 5], algorithm="naive",
+                                    max_ticks=5),
+    # processor 3 would wake at tick 8
+    "never-wakes": SimConfig(n=8, m=3, wake_times=[0, 2, 8], algorithm="dynamic-synch",
+                             max_ticks=6),
+    # one processor, one event: a single segment over several writes
+    "segment-over-buffer": SimConfig(n=200, m=1, wake_times=[0], algorithm="naive"),
+}
+
+
+def test_csv_examples_are_what_they_say():
+    traces = {name: run(cfg) for name, cfg in CSV_EXAMPLES.items()}
+    ticks = {name: Counter(e[0] for e in tr.clock_events) for name, tr in traces.items()}
+    assert max(ticks["events-at-one-tick"].values()) >= 3
+    assert traces["event-at-tick-0"].horizon == 0 and ticks["event-at-tick-0"][0] == 2
+    assert traces["event-on-last-tick"].horizon in ticks["event-on-last-tick"]
+    assert 3 not in {e[1] for e in traces["never-wakes"].clock_events}
+    assert set(ticks["segment-over-buffer"]) == {0}
+    assert traces["segment-over-buffer"].horizon + 1 > 2 * _ROWS_PER_WRITE
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_configs())
+@example(CSV_EXAMPLES["events-at-one-tick"])
+@example(CSV_EXAMPLES["event-at-tick-0"])
+@example(CSV_EXAMPLES["event-on-last-tick"])
+@example(CSV_EXAMPLES["never-wakes"])
+@example(CSV_EXAMPLES["segment-over-buffer"])
+def test_trace_csv_bytes_match_csv_writer(tmp_path_factory, cfg):
+    trace = run(cfg)
+    path = tmp_path_factory.getbasetemp() / "trace.csv"
+    _write_trace_csv(trace, path)
+    assert path.read_bytes() == _csv_from_tau_at(trace)
 
 
 def test_sweep_writes_budgeted_table(tmp_path, capsys):
