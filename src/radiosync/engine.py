@@ -20,6 +20,14 @@ protocols._Proto).  So this engine gives a lone tick no event:
 becomes a radio-on event only when a second radio joins it or it is the
 last tick of a policy.  The fractional engine visits every radio-on tick.
 
+A radio-on tick is quiet when every radio on already holds the clock the
+exchange would give it and has nothing left to learn, so that
+`transmissions`, the PHASES handlers and `tick_end` would change no state
+and record nothing there.  Each protocol class states when that holds
+(`quiet`, see protocols._Proto); this engine writes a quiet tick's on-set
+and runs none of its handlers.  The energy of the tick is already counted,
+since `_schedule` counts it.  The fractional engine runs every handler.
+
 One tick is one communication round.  Within a radio-on tick, delivery
 runs in sub-phases so that request/response exchanges happen inside a
 single tick (matching the round structure of the protocol handlers) while
@@ -57,7 +65,7 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps' str es
 
 from .core import ConfigError, SimConfig, validate_config
 from . import protocols
-from .policy import PolicyString, basic_policy
+from .policy import PolicyString
 from .protocols import Message, Stage2Record  # noqa: F401  (re-exported)
 
 
@@ -142,7 +150,9 @@ class SimTrace:
     stage2: list = field(default_factory=list)
     dyn_events: list = field(default_factory=list)
     edge_contacts: dict = field(default_factory=dict)  # (u,v) -> (tick, diff)
-    messages: dict | None = None  # tick -> [(sender, kind, payload, receivers)]
+    # tick -> [(sender, kind, payload, receivers)], recorded only on request;
+    # a quiet tick (World) builds no messages, so it logs none
+    messages: dict | None = None
     flags: list = field(default_factory=list)
     energy_counts: dict = field(default_factory=dict)
     sync_complete_tick: int | None = None
@@ -247,9 +257,11 @@ class World:
     the 2n audit.  `_on_map` holds the radio-on set of each pending key.
     With `_skip_lone` (unit 1, see the module docstring), a pending key
     with one radio on that ends none of its owner's policies has no event
-    and no `_on_map` entry: it is already in `trace.on_sets`.
-    `trace.energy_counts` is counted by `_schedule` alone.  The fractional
-    engine overrides only `_time_unit` and the handlers.
+    and no `_on_map` entry: it is already in `trace.on_sets`.  A visited
+    tick that its protocol class calls quiet (`_quiet`) has its on-set
+    written and no handler run.  `trace.energy_counts` is counted by
+    `_schedule` alone.  The fractional engine overrides only `_time_unit`
+    and the handlers.
     """
 
     def __init__(self, cfg: SimConfig, record_messages: bool = False):
@@ -264,8 +276,9 @@ class World:
         self.adj = cfg.topology.adjacency()
         self._complete = cfg.topology.is_complete  # so _exchange shares one delivery
         self.tick = 0
-        # the k-basic policy, one object shared by every processor's records
-        self.basic = basic_policy(self.k)
+        # the policy each processor lays down (protocols._Proto.policy), one
+        # object shared by every processor's records
+        self.policy = cls.policy(self.n, self.k)
 
         self.trace = SimTrace(
             cfg=_cfg_echo(cfg, self.k, self.horizon),
@@ -282,6 +295,7 @@ class World:
 
         self.procs = {i: cls(self, i) for i in range(1, self.m + 1)}
         self._phases = [getattr(cls, name) for name in cls.PHASES]
+        self._quiet = cls.quiet
         self._skip_lone = self.unit == 1
         self._awake: set[int] = set()
         self._in_wake_hook = False
@@ -434,10 +448,12 @@ class World:
 
     def _on_instant(self, key, t):
         """Radio-on tick: transmissions, then each sub-phase on what the one
-        before it sent, then the end of the tick."""
+        before it sent, then the end of the tick; on a quiet tick, none."""
         on_sorted = sorted(self._on_map.pop(key))
         self.trace.on_sets[t] = tuple(on_sorted)
         procs = [self.procs[pid] for pid in on_sorted]
+        if self._quiet(procs, t):
+            return
         # no self-loops: nobody hears a lone radio, so it builds no messages
         out = [p.transmissions(t) for p in procs] if len(procs) > 1 else ()
         for handler in self._phases:

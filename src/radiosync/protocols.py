@@ -39,13 +39,15 @@ from fractions import Fraction
 from operator import attrgetter, itemgetter
 
 from .core import ceil_log2, compute_k
-from .policy import PolicyString, naive_policy
+from .policy import PolicyString, basic_policy, naive_policy
 
 HALF = Fraction(1, 2)
 # the order of every inbox: by sender, then kind, then payload
 INBOX_ORDER = attrgetter("sender", "kind", "payload")
 # the one-tick policy of a reschedule's report exchange
 STAGE2_POLICY = PolicyString((1,), 1)
+_DELTA = attrgetter("_delta")
+_UNMET = attrgetter("_unmet")
 
 
 def ceil_sqrt(n: int) -> int:
@@ -184,6 +186,23 @@ class _Proto:
     non-leader, whose first main tick is the previous block's pass tick,
     and the only flag it can raise is `missing-pass`.
 
+    A shared tick, too, can leave nothing to do.  `quiet(procs, t)`, given
+    the processors whose radios are on at tick t, is True only when
+    running `transmissions`, every PHASES handler and `tick_end` on them
+    would change no state and record nothing; the integer engine then runs
+    none of them (engine.World).  Where a class adopts, its conditions
+    include one clock and one progress counter among the radios on.  Then
+    `sync_winner` picks a sender with the receiver's own (j, tau), so
+    `set_clock` writes the clock the receiver holds (the integer engine's
+    carries are 0) and logs no clock event, and `_push_jstep` puts back a
+    step of the value j already has.  `_push_jstep` also drops the steps
+    effective after t, but no radio on at t holds one: a step is pushed at
+    a wake or an adoption, effective then, or at a reschedule's report
+    tick, effective at the first tick the new policy is on, and the
+    processor's earlier policies all end by the report tick.  The base
+    class is never quiet, and `dynamic-synch` keeps that: its queue
+    handlers answer at main ticks whatever the clocks show.
+
     Every message one processor sends in one sub-phase carries the same
     tau, j and q: handlers build their messages after they adopt, and
     nothing changes a clock between a processor's handler and its next.
@@ -197,7 +216,9 @@ class _Proto:
     Each algorithm's class states its own facts, read through PROTOCOLS:
     `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
     completion guarantee), `budget(n, k)` (the energy bound per processor),
-    SINGLE_HOP, FRACTIONAL and the STRUCTURAL_CHECKS that describe its traces.
+    SINGLE_HOP, FRACTIONAL and the STRUCTURAL_CHECKS that describe its traces,
+    `policy(n, k)` (the policy its processors lay down, built once per
+    world as `world.policy`) and `quiet(procs, t)`.
     """
 
     phi = 0
@@ -208,6 +229,14 @@ class _Proto:
     RECORDS_EDGES = False
     STRUCTURAL_CHECKS = ()
     schedule_k = staticmethod(compute_k)
+
+    @staticmethod
+    def policy(n, k):
+        return basic_policy(k)
+
+    @staticmethod
+    def quiet(procs, t):
+        return False
 
     def __init__(self, world, pid):
         self.world = weakref.proxy(world)
@@ -351,6 +380,18 @@ class SynchronizeProto(_Proto):
     def budget(n, k):
         return (2 * k + 1) * (ceil_log2(n) + 1)
 
+    @staticmethod
+    def quiet(procs, t):
+        """One clock and one j, and t is nobody's report tick or policy end
+        (where react and tick_end act whatever the clocks show)."""
+        if not _one_clock(procs):
+            return False
+        j = procs[0].j(t)
+        for p in procs:
+            if t == p.stage2_tick or t == p.cur_end or p.j(t) != j:
+                return False
+        return True
+
     def on_wake(self, t):
         self.rounds = ceil_log2(self.n)
         self.exec_no = 1
@@ -358,8 +399,8 @@ class SynchronizeProto(_Proto):
         self.stage2_clamped = False
         self.frozen_j = None
         self.set_j_anchor(t, t)
-        self.schedule("basic", self.world.basic, nominal_start=t, phase=1)
-        self.cur_end = t + len(self.world.basic) - 1  # last tick of the current policy
+        self.schedule("basic", self.world.policy, nominal_start=t, phase=1)
+        self.cur_end = t + len(self.world.policy) - 1  # last tick of the current policy
 
     def transmissions(self, t):
         out = [self._msg(t, "sync")]
@@ -394,9 +435,9 @@ class SynchronizeProto(_Proto):
             clamped=self.stage2_clamped,
         ))
         self.stage2_tick = None
-        self.schedule("basic", self.world.basic, nominal_start=gstart, phase=self.exec_no)
+        self.schedule("basic", self.world.policy, nominal_start=gstart, phase=self.exec_no)
         self.set_j_anchor(max(gstart, t + 1), gstart)
-        self.cur_end = gstart + len(self.world.basic) - 1
+        self.cur_end = gstart + len(self.world.policy) - 1
         if self.cur_end < t + 1:
             # fully past (radio-on from t + 1 only), so no adoption: J at
             # completion is the span
@@ -462,7 +503,7 @@ class DynamicProto(_Proto):
         self.main_ticks = set()
         k = self.k
         self.schedule("dyn-initial", PolicyString((1,) * k, k), nominal_start=t)
-        self.schedule("dyn-step5", self.world.basic, nominal_start=t + 2 * self.n)
+        self.schedule("dyn-step5", self.world.policy, nominal_start=t + 2 * self.n)
 
     # -- message emission ----------------------------------------------------
     def transmissions(self, t):
@@ -594,8 +635,17 @@ class NaiveProto(_Proto):
     def budget(n, k):
         return n + 1
 
+    @staticmethod
+    def policy(n, k):
+        return naive_policy(n)
+
+    @staticmethod
+    def quiet(procs, t):
+        """One clock, and no edge contact left to record among procs."""
+        return _one_clock(procs) and _all_met(procs)
+
     def on_wake(self, t):
-        self.schedule("naive", naive_policy(self.n), nominal_start=t)
+        self.schedule("naive", self.world.policy, nominal_start=t)
 
     def transmissions(self, t):
         return [self._msg(t, "sync")]
@@ -626,8 +676,13 @@ class PairwiseProto(_Proto):
     def budget(n, k):
         return 2 * k  # the k-basic policy's on-ticks
 
+    @staticmethod
+    def quiet(procs, t):
+        """No edge contact left to record among procs (it never adopts)."""
+        return _all_met(procs)
+
     def on_wake(self, t):
-        self.schedule("pairwise", self.world.basic, nominal_start=t)
+        self.schedule("pairwise", self.world.policy, nominal_start=t)
 
     def transmissions(self, t):
         return [self._msg(t, "sync")]
@@ -638,6 +693,17 @@ class PairwiseProto(_Proto):
 
     def adopt(self, t, inbox):
         pass
+
+
+def _one_clock(procs):
+    """Every processor in procs holds the same clock."""
+    return len(set(map(_DELTA, procs))) == 1
+
+
+def _all_met(procs):
+    """No processor in procs has another in its `_unmet`."""
+    unmet = set().union(*map(_UNMET, procs))
+    return not unmet or unmet.isdisjoint([p.id for p in procs])
 
 
 # the algorithms, by name: the one place a name is looked up

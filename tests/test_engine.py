@@ -217,8 +217,8 @@ def test_receivers_are_radio_on_neighbours(topology, algorithm):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_lone_radio_builds_no_messages(monkeypatch, algorithm):
-    # a lone radio has no receiver, so its tick calls no `transmissions`;
-    # a shared tick calls it once per radio
+    # a lone radio has no receiver, and a quiet tick runs no handler, so
+    # neither calls `transmissions`; any other shared tick calls it once per radio
     cls = protocols.PROTOCOLS[algorithm]
     calls = []
 
@@ -227,17 +227,24 @@ def test_lone_radio_builds_no_messages(monkeypatch, algorithm):
         return _orig(self, t)
 
     monkeypatch.setattr(cls, "transmissions", counted)
-    tr = run(SimConfig(n=16, m=4, wake_times="seeded-random", seed=5, algorithm=algorithm))
+    world = World(SimConfig(n=16, m=4, wake_times="seeded-random", seed=5,
+                            algorithm=algorithm))
+    verdicts = {}
+    world._quiet = lambda procs, t, _quiet=world._quiet: verdicts.setdefault(t, _quiet(procs, t))
+    tr = world.run()
     sizes = {len(s) for s in tr.on_sets.values()}
     assert 1 in sizes and max(sizes) > 1
-    assert sorted(calls) == sorted((t, pid) for t, s in tr.on_sets.items()
-                                   if len(s) > 1 for pid in s)
+    shared = [t for t, s in tr.on_sets.items() if len(s) > 1]
+    busy = [t for t in shared if not verdicts[t]]
+    assert busy and (len(busy) == len(shared)) == (algorithm == "dynamic-synch")
+    assert sorted(calls) == sorted((t, pid) for t in busy for pid in tr.on_sets[t])
 
 
-@pytest.mark.parametrize("algorithm", ["synchronize", "dynamic-synch", "pairwise"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_basic_policy_built_once_per_world(algorithm):
     tr = run(SimConfig(n=16, m=4, wake_times="seeded-random", seed=5, algorithm=algorithm))
-    basics = [r.policy for r in tr.policies if r.kind in ("basic", "dyn-step5", "pairwise")]
+    basics = [r.policy for r in tr.policies
+              if r.kind in ("basic", "dyn-step5", "pairwise", "naive")]
     assert len(basics) >= 4 and len({id(p) for p in basics}) == 1
 
 

@@ -5,9 +5,10 @@ On the complete topology, with `SHARED_MIN_RADIOS` or more radios on,
 sub-phase's messages, and finds the early-sync winner and the edge
 contacts once per sub-phase (see the engine module docstring).  Each run
 here is compared with a reference run that filters every inbox per
-receiver into a plain list, as multi-hop topologies do, and records edge
+receiver into a plain list, as multi-hop topologies do, records edge
 contacts by scanning each inbox against the pairs already recorded,
-without `_Proto._unmet`.  The run under test also checks each shared
+without `_Proto._unmet`, and runs every handler of every radio-on tick it
+visits, quiet ones included.  The run under test also checks each shared
 inbox's early-sync winner against a scan of its messages.
 """
 
@@ -45,11 +46,13 @@ def scan_edge_contacts(proc, t, inbox):
 
 class FilterWorld(World):
     """The reference: a World that delivers per receiver, into plain lists,
-    and records edge contacts by scanning them.  It checks that every
-    sender's messages in a sub-phase carry one (tau, j, q)."""
+    records edge contacts by scanning them and skips no quiet tick.  It
+    checks that every sender's messages in a sub-phase carry one
+    (tau, j, q)."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
+        self._quiet = lambda procs, t: False
         for proc in self.procs.values():
             proc.edge_contacts = MethodType(scan_edge_contacts, proc)
 

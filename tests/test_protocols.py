@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from radiosync.core import SimConfig, ceil_log2
 from radiosync.engine import World, energy, run
-from radiosync.protocols import (Inbox, Message, ceil_sqrt, dynamic_next, flatten_next,
-                                 sync_winner)
+from radiosync.protocols import (PROTOCOLS, Inbox, Message, ceil_sqrt, dynamic_next,
+                                 flatten_next, sync_winner)
 
 
 # --- pure operations -------------------------------------------------------
@@ -369,3 +369,52 @@ def test_pass_without_head_is_flagged_by_a_lone_radio():
     world.step()
     assert trace.on_sets[t] == (1,)
     assert f"pass-without-head p1 t{t}" in trace.flags
+
+
+# --- quiet ticks -------------------------------------------------------------
+
+def _quiet_procs(algorithm):
+    """A finished run's processors, each set to one clock and one j, with no
+    report tick or policy end pending and every edge contact made."""
+    world = World(SimConfig(n=8, m=4, wake_times=[0, 2, 3, 5], algorithm=algorithm))
+    world.run()
+    for p in world.procs.values():
+        p._delta = 5
+        p._jsteps = [(0, 3)]
+        p.stage2_tick = p.cur_end = None
+        if p.RECORDS_EDGES:
+            p._unmet = set()
+    return world, list(world.procs.values())
+
+
+@pytest.mark.parametrize("algorithm, change, quiet_after", [
+    ("naive", "clock", False), ("naive", "unmet", False),
+    # pairwise never adopts, so clocks that differ leave it nothing to do
+    ("pairwise", "clock", True), ("pairwise", "unmet", False),
+    ("synchronize", "clock", False), ("synchronize", "j", False),
+    ("synchronize", "stage2_tick", False), ("synchronize", "cur_end", False),
+])
+def test_each_condition_alone_turns_quiet_off(algorithm, change, quiet_after):
+    world, procs = _quiet_procs(algorithm)
+    quiet, t, last = PROTOCOLS[algorithm].quiet, 10, procs[-1]
+    assert quiet(procs, t)
+    if change == "clock":
+        last._delta += 1
+    elif change == "j":
+        last._jsteps = [(0, 4)]
+    elif change == "unmet":
+        last._unmet = {procs[0].id}
+        assert quiet(procs[1:], t)  # an unmet neighbour whose radio is off
+    else:
+        setattr(last, change, t)
+        assert quiet(procs, t + 1)
+    assert quiet(procs, t) is quiet_after
+
+
+def test_dynamic_synch_is_never_quiet():
+    world = World(SimConfig(n=8, m=4, wake_times=[0, 0, 0, 0], algorithm="dynamic-synch"))
+    world.run()
+    procs = list(world.procs.values())
+    assert len({p._delta for p in procs}) == 1
+    assert not any(PROTOCOLS["dynamic-synch"].quiet(procs[:r], t)
+                   for r in (1, len(procs)) for t in (0, world.horizon))
