@@ -268,8 +268,9 @@ def _check_rendezvous_group(trace, tick, recs, details, first_basic, cluster_of)
     return ok
 
 
-def check_flatten(trace) -> CheckReport:
-    """Validate every report-exchange group of a phased-algorithm trace."""
+def check_flatten(trace, cl=None) -> CheckReport:
+    """Validate every report-exchange group of a phased-algorithm trace;
+    `cl` is clusters(trace), computed here when not given."""
     details = []
     ok = True
     groups = {}
@@ -283,7 +284,7 @@ def check_flatten(trace) -> CheckReport:
     @functools.cache
     def cluster_of():
         out = {}
-        for c in clusters(trace):
+        for c in clusters(trace) if cl is None else cl:
             for i in c.records:
                 out.setdefault(i, c)
         return out
@@ -302,8 +303,9 @@ def check_final_continuity(trace) -> CheckReport:
                        details=[] if good else [f"discontinuity inside [{lo},{hi}]"])
 
 
-def check_dynamic(trace) -> CheckReport:
-    """The dynamic algorithm's structural guarantees on one trace.
+def check_dynamic(trace, cl=None) -> CheckReport:
+    """The dynamic algorithm's structural guarantees on one trace; `cl` is
+    clusters(trace), computed here when not given.
 
     (1) main-part windows of distinct processors are disjoint within
         [0, 2n]; (2) every cluster inside [0, 2n] has main-part density
@@ -329,7 +331,7 @@ def check_dynamic(trace) -> CheckReport:
             ok = False
             details.append(f"windows overlap in [0,2n]: p{o1} [{a1},{b1}] vs p{o2} [{a2},{b2}]")
 
-    for c in clusters(trace):
+    for c in clusters(trace) if cl is None else cl:
         if c.interval[0] >= 0 and c.interval[1] <= 2 * n:
             stats = interval_stats(trace, c.interval[0], c.interval[1])
             if stats.cden > 1:

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
 
 from . import adversary, analysis
 from .core import ConfigError, SimConfig, Topology
@@ -123,16 +123,17 @@ def _build_config(args, n, m, fractional=False) -> SimConfig:
                      max_ticks=args.max_ticks, seed=args.seed, fractional=fractional)
 
 
-# checks backed by an analysis checker that returns (passed, details); each
-# applies only to the algorithms whose STRUCTURAL_CHECKS name it
+# checks backed by an analysis checker that returns (passed, details), each
+# called with the trace and its clusters; each applies only to the
+# algorithms whose STRUCTURAL_CHECKS name it
 _ANALYSIS_CHECKS = {
     "flatten": analysis.check_flatten,
-    "continuity": analysis.check_final_continuity,
+    "continuity": lambda trace, _cl: analysis.check_final_continuity(trace),
     "dynamic": analysis.check_dynamic,
 }
 
 
-def _run_checks(trace, wanted):
+def _run_checks(trace, wanted, cl):
     results = {}
     for name in wanted:
         if name == "sync":
@@ -141,7 +142,7 @@ def _run_checks(trace, wanted):
                              "sync_complete_tick": trace.sync_complete_tick,
                              "flags": sorted(trace.flags)}
         elif name in _ANALYSIS_CHECKS:
-            rep = _ANALYSIS_CHECKS[name](trace)
+            rep = _ANALYSIS_CHECKS[name](trace, cl)
             results[name] = {"passed": rep.passed, "details": rep.details}
         elif name == "budget":
             limit = PROTOCOLS[trace.cfg["algorithm"]].budget(trace.n, trace.k)
@@ -151,7 +152,7 @@ def _run_checks(trace, wanted):
     return results
 
 
-def _report(trace, checks, fractional) -> dict:
+def _report(trace, checks, fractional, cl) -> dict:
     rep = energy(trace)
     out = {
         "config": trace.cfg,
@@ -162,7 +163,6 @@ def _report(trace, checks, fractional) -> dict:
     }
     if fractional:
         out["timeline_anchors"] = {str(pid): str(a) for pid, a in sorted(anchors(trace).items())}
-    cl = analysis.clusters(trace)
     out["clusters"] = [
         {"interval": [str(c.interval[0]), str(c.interval[1])],
          "members": sorted(c.members), "cwet": str(c.cwet), "cden": str(c.cden)}
@@ -182,19 +182,22 @@ def _write_trace_csv(trace, path):
     fall into segments: a segment starts at an event tick, after all of
     that tick's events, and ends before the next event tick.  Within one,
     clock i reads t + delta_i with delta_i = tau - event tick fixed, and
-    the deltas take few distinct values (one, once the clocks agree), so a
-    row formats each distinct t + delta once and places the strings into
-    the clock columns through the segment's index.
+    the deltas take few distinct values (one, once the clocks agree).  So
+    the rows are built from columns: one column of strings per distinct
+    delta, the radio-on ids and a blank column for a processor not yet
+    awake, zipped and joined row by row in C.
 
     The bytes are those of csv.writer's excel dialect: comma-separated,
     "\\r\\n" after every row, no quoting, which none of these fields (ints,
-    blanks, space-separated ids) needs.  Rows go out _ROWS_PER_WRITE at a
-    time, so the buffer stays bounded however long a segment is."""
+    blanks, space-separated ids) needs.  A segment goes out in chunks of
+    at most _ROWS_PER_WRITE rows, one write each, so the buffer stays
+    bounded however long the segment is."""
     m, stop, events = trace.m, trace.horizon + 1, trace.clock_events
     on = {t: " ".join(map(str, ids)) for t, ids in trace.on_sets.items()}
     cuts = [e[0] for e in events if 0 < e[0] < stop]
     deltas = [None] * m  # processor i at index i - 1
-    nxt, buf = 0, []
+    blank = repeat("")
+    nxt = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["tick", "radio_on", *[f"tau_{i}" for i in range(1, m + 1)]])
                  + "\r\n")
@@ -203,21 +206,13 @@ def _write_trace_csv(trace, path):
                 tick, owner, tau, _q = events[nxt]
                 deltas[owner - 1] = tau - tick
                 nxt += 1
-            if t == end:
-                continue  # several events at one tick leave empty segments
-            # a row's cells: its radio-on ids, t + each distinct delta, a blank
-            distinct = sorted({d for d in deltas if d is not None})
-            slot = {d: i for i, d in enumerate(distinct, 1)}
-            pick = itemgetter(0, *[len(distinct) + 1 if d is None else slot[d] for d in deltas])
-            while t < end:
-                upto = min(end, t + _ROWS_PER_WRITE - len(buf))
-                buf += [f"{u},{','.join(pick([on.get(u, ''), *[str(u + d) for d in distinct], '']))}"
-                        "\r\n" for u in range(t, upto)]
-                t = upto
-                if len(buf) == _ROWS_PER_WRITE:
-                    fh.write("".join(buf))
-                    buf.clear()
-        fh.write("".join(buf))
+            distinct = {d for d in deltas if d is not None}
+            for lo in range(t, end, _ROWS_PER_WRITE):  # empty when events share a tick
+                ticks = range(lo, min(end, lo + _ROWS_PER_WRITE))
+                cols = {d: list(map(str, range(lo + d, ticks.stop + d))) for d in distinct}
+                rows = map(",".join, zip(map(str, ticks), map(on.get, ticks, blank),
+                                         *[blank if d is None else cols[d] for d in deltas]))
+                fh.write("\r\n".join(rows) + "\r\n")
 
 
 def cmd_run(args) -> int:
@@ -233,8 +228,9 @@ def cmd_run(args) -> int:
     if args.trace and cfg.fractional:
         raise ConfigError("per-tick CSV traces are integer-mode only")
     trace = run_fractional(cfg) if cfg.fractional else run(cfg)
-    checks = _run_checks(trace, wanted)
-    report = _report(trace, checks, cfg.fractional)
+    cl = analysis.clusters(trace)  # shared by the checkers and the report
+    checks = _run_checks(trace, wanted, cl)
+    report = _report(trace, checks, cfg.fractional, cl)
     blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

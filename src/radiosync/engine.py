@@ -24,9 +24,14 @@ A radio-on tick is quiet when every radio on already holds the clock the
 exchange would give it and has nothing left to learn, so that
 `transmissions`, the PHASES handlers and `tick_end` would change no state
 and record nothing there.  Each protocol class states when that holds
-(`quiet`, see protocols._Proto); this engine writes a quiet tick's on-set
-and runs none of its handlers.  The energy of the tick is already counted,
-since `_schedule` counts it.  The fractional engine runs every handler.
+(`quiet`, see protocols._Proto): one clock among the radios on
+(`pairwise`, which never adopts, needs none), no edge contact left to
+record, and no radio at a tick where its handlers act whatever the clocks
+show (`synchronize`'s report ticks and policy ends, `dynamic-synch`'s
+discovery rounds, main ticks and queue hand-off).  This engine writes a
+quiet tick's on-set and runs none of its handlers.  The energy of the tick
+is already counted, since `_schedule` counts it.  The fractional engine
+runs every handler.
 
 One tick is one communication round.  Within a radio-on tick, delivery
 runs in sub-phases so that request/response exchanges happen inside a

@@ -194,14 +194,17 @@ class _Proto:
     include one clock and one progress counter among the radios on.  Then
     `sync_winner` picks a sender with the receiver's own (j, tau), so
     `set_clock` writes the clock the receiver holds (the integer engine's
-    carries are 0) and logs no clock event, and `_push_jstep` puts back a
-    step of the value j already has.  `_push_jstep` also drops the steps
-    effective after t, but no radio on at t holds one: a step is pushed at
-    a wake or an adoption, effective then, or at a reschedule's report
-    tick, effective at the first tick the new policy is on, and the
-    processor's earlier policies all end by the report tick.  The base
-    class is never quiet, and `dynamic-synch` keeps that: its queue
-    handlers answer at main ticks whatever the clocks show.
+    carries are 0) and logs no clock event, and `_push_jstep` leaves the
+    steps as they are: the last step effective by t holds the value j
+    already has, so it pushes none, or puts back the one effective at t.
+    It would drop the steps effective after t, but no radio on at t holds
+    one: a step is pushed at a wake or an adoption, effective then, or at
+    a reschedule's report tick, effective at the first tick the new policy
+    is on, and the processor's earlier policies all end by the report
+    tick.  The base class is never quiet.  `dynamic-synch` is quiet on one
+    clock outside its initial rounds, main ticks and pass ticks: there its
+    handlers, like `synchronize`'s between report ticks and policy ends,
+    only adopt.
 
     Every message one processor sends in one sub-phase carries the same
     tau, j and q: handlers build their messages after they adopt, and
@@ -281,9 +284,14 @@ class _Proto:
             self.trace.clock_events.append((t + phi, self.id, self.tau(t), self.q_frac))
 
     def _push_jstep(self, eff, val):
-        while self._jsteps and self._jsteps[-1][0] >= eff:
-            self._jsteps.pop()
-        self._jsteps.append((eff, val))
+        """j(t) = t + val from eff on.  Steps effective at or after eff are
+        dropped, and a step of the value the last one left holds is not
+        pushed, so no two consecutive steps share a value."""
+        steps = self._jsteps
+        while steps and steps[-1][0] >= eff:
+            steps.pop()
+        if not steps or steps[-1][1] != val:
+            steps.append((eff, val))
 
     def set_j_anchor(self, effective_tick, nominal_start):
         """J counts ticks since nominal_start, from effective_tick onwards."""
@@ -489,6 +497,24 @@ class DynamicProto(_Proto):
     @staticmethod
     def budget(n, k):
         return 4 * k + 2
+
+    @staticmethod
+    def quiet(procs, t):
+        """One clock, and t is none of the radios' initial rounds, main
+        ticks or pass tick.  On any other tick the handlers only adopt,
+        as `synchronize`'s do between its report ticks and policy ends:
+        init messages go out in initial rounds, pass messages and the
+        hand-off at pass ticks, and responses are taken in initial rounds
+        alone.  Main ticks are excluded although no run tried so far
+        needs it (BENCH_19.json): the queue handlers answer there, and a
+        non-leader's first main tick is where a missing hand-off raises
+        `missing-pass`."""
+        if not _one_clock(procs):
+            return False
+        for p in procs:
+            if 0 <= t - p.wake < p.k or t == p.pass_tick or t in p.main_ticks:
+                return False
+        return True
 
     def on_wake(self, t):
         self.candidate = True

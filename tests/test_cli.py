@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from radiosync import analysis
 from radiosync.adversary import build_topology
 from radiosync.cli import _ROWS_PER_WRITE, _write_trace_csv, main
 from radiosync.core import SimConfig
@@ -39,6 +40,22 @@ def test_run_dynamic_checks(tmp_path, capsys):
                           "--seed", "7", "--check", "dynamic,budget,sync",
                           "--out", str(out)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("algorithm, checks", [("synchronize", "sync,flatten,budget"),
+                                               ("dynamic", "sync,dynamic,budget")])
+def test_run_computes_clusters_once(tmp_path, capsys, monkeypatch, algorithm, checks):
+    calls = []
+
+    def counted(trace, _orig=analysis.clusters):
+        calls.append(trace)
+        return _orig(trace)
+
+    monkeypatch.setattr(analysis, "clusters", counted)
+    code, _, _ = run_cli(["run", "--n", "64", "--m", "8", "--algorithm", algorithm,
+                          "--wake", "random", "--check", checks,
+                          "--out", str(tmp_path / "report.json")], capsys)
+    assert code == 0 and len(calls) == 1
 
 
 def test_bad_n_exits_two(capsys):
@@ -269,6 +286,10 @@ CSV_EXAMPLES = {
                              max_ticks=6),
     # one processor, one event: a single segment over several writes
     "segment-over-buffer": SimConfig(n=200, m=1, wake_times=[0], algorithm="naive"),
+    # ticks 2..398: one segment over two writes, three clocks apart and
+    # processor 4's blank column across the chunk boundary
+    "blank-across-chunks": SimConfig(n=400, m=4, wake_times=[0, 1, 2, 399],
+                                     algorithm="pairwise"),
 }
 
 
@@ -281,6 +302,10 @@ def test_csv_examples_are_what_they_say():
     assert 3 not in {e[1] for e in traces["never-wakes"].clock_events}
     assert set(ticks["segment-over-buffer"]) == {0}
     assert traces["segment-over-buffer"].horizon + 1 > 2 * _ROWS_PER_WRITE
+    events = traces["blank-across-chunks"].clock_events
+    assert [(t, o, tau) for t, o, tau, _q in events[:4]] == [(0, 1, 0), (1, 2, 0), (2, 3, 0),
+                                                              (399, 4, 0)]
+    assert 399 - 2 > _ROWS_PER_WRITE
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,6 +315,7 @@ def test_csv_examples_are_what_they_say():
 @example(CSV_EXAMPLES["event-on-last-tick"])
 @example(CSV_EXAMPLES["never-wakes"])
 @example(CSV_EXAMPLES["segment-over-buffer"])
+@example(CSV_EXAMPLES["blank-across-chunks"])
 def test_trace_csv_bytes_match_csv_writer(tmp_path_factory, cfg):
     trace = run(cfg)
     path = tmp_path_factory.getbasetemp() / "trace.csv"

@@ -218,7 +218,8 @@ def test_receivers_are_radio_on_neighbours(topology, algorithm):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_lone_radio_builds_no_messages(monkeypatch, algorithm):
     # a lone radio has no receiver, and a quiet tick runs no handler, so
-    # neither calls `transmissions`; any other shared tick calls it once per radio
+    # neither calls `transmissions`; any other shared tick calls it once per
+    # radio.  Each algorithm has both kinds of shared tick here.
     cls = protocols.PROTOCOLS[algorithm]
     calls = []
 
@@ -236,7 +237,7 @@ def test_lone_radio_builds_no_messages(monkeypatch, algorithm):
     assert 1 in sizes and max(sizes) > 1
     shared = [t for t, s in tr.on_sets.items() if len(s) > 1]
     busy = [t for t in shared if not verdicts[t]]
-    assert busy and (len(busy) == len(shared)) == (algorithm == "dynamic-synch")
+    assert busy and len(busy) < len(shared)
     assert sorted(calls) == sorted((t, pid) for t in busy for pid in tr.on_sets[t])
 
 

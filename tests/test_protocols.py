@@ -193,6 +193,16 @@ def test_clock_monotonicity():
             per[pid] = (t, tau)
 
 
+def test_j_steps_never_repeat_a_value():
+    # an adoption that leaves j as it is pushes no step
+    world = World(SimConfig(n=64, m=8, wake_times="seeded-random", seed=0))
+    world.run()
+    steps = [p._jsteps for p in world.procs.values()]
+    assert sum(map(len, steps)) > 2 * len(steps)
+    for s in steps:
+        assert all(a[1] != b[1] for a, b in zip(s, s[1:])), s
+
+
 # --- queue-based algorithm behaviour ----------------------------------------
 
 def test_lone_leader_block_follows_initial_part():
@@ -375,13 +385,15 @@ def test_pass_without_head_is_flagged_by_a_lone_radio():
 
 def _quiet_procs(algorithm):
     """A finished run's processors, each set to one clock and one j, with no
-    report tick or policy end pending and every edge contact made."""
+    report tick, policy end, main tick or pass tick pending, past their
+    initial rounds at tick 10, and every edge contact made."""
     world = World(SimConfig(n=8, m=4, wake_times=[0, 2, 3, 5], algorithm=algorithm))
     world.run()
     for p in world.procs.values():
         p._delta = 5
         p._jsteps = [(0, 3)]
         p.stage2_tick = p.cur_end = None
+        p.pass_tick, p.main_ticks = None, set()
         if p.RECORDS_EDGES:
             p._unmet = set()
     return world, list(world.procs.values())
@@ -393,6 +405,8 @@ def _quiet_procs(algorithm):
     ("pairwise", "clock", True), ("pairwise", "unmet", False),
     ("synchronize", "clock", False), ("synchronize", "j", False),
     ("synchronize", "stage2_tick", False), ("synchronize", "cur_end", False),
+    ("dynamic-synch", "clock", False), ("dynamic-synch", "wake", False),
+    ("dynamic-synch", "main_ticks", False), ("dynamic-synch", "pass_tick", False),
 ])
 def test_each_condition_alone_turns_quiet_off(algorithm, change, quiet_after):
     world, procs = _quiet_procs(algorithm)
@@ -406,15 +420,8 @@ def test_each_condition_alone_turns_quiet_off(algorithm, change, quiet_after):
         last._unmet = {procs[0].id}
         assert quiet(procs[1:], t)  # an unmet neighbour whose radio is off
     else:
-        setattr(last, change, t)
+        # the tick itself; for a wake, t is the last initial round
+        value = {"wake": t - last.k + 1, "main_ticks": {t}}.get(change, t)
+        setattr(last, change, value)
         assert quiet(procs, t + 1)
     assert quiet(procs, t) is quiet_after
-
-
-def test_dynamic_synch_is_never_quiet():
-    world = World(SimConfig(n=8, m=4, wake_times=[0, 0, 0, 0], algorithm="dynamic-synch"))
-    world.run()
-    procs = list(world.procs.values())
-    assert len({p._delta for p in procs}) == 1
-    assert not any(PROTOCOLS["dynamic-synch"].quiet(procs[:r], t)
-                   for r in (1, len(procs)) for t in (0, world.horizon))

@@ -92,6 +92,13 @@ def small_configs(draw):
 @example(SimConfig(n=2, m=1, wake_times=[0], algorithm="synchronize"))
 # fails when synchronize's quiet ignores j: one clock, two progress counters
 @example(SimConfig(n=3, m=2, wake_times=[0, 1], algorithm="synchronize"))
+# fails when dynamic-synch's quiet ignores the initial rounds or the pass
+# tick: a lone processor leads at its last initial round, hands off at its
+# pass tick
+@example(SimConfig(n=1, m=1, wake_times=[0], algorithm="dynamic-synch"))
+# fails when dynamic-synch's quiet ignores the initial rounds on a shared
+# tick: processor 2 adopts at its wake, then hears init messages on one clock
+@example(SimConfig(n=2, m=2, wake_times=[0, 1], algorithm="dynamic-synch"))
 # multi-hop: contacts made and missed along a sparse topology, cut short
 @example(SimConfig(n=12, m=14, wake_times=[0, 3, 3, 5, 7, 12, 1, 0, 9, 9, 2, 4, 11, 6],
                    topology=build_topology("l-connected:1", 14), algorithm="naive",
