@@ -148,8 +148,11 @@ def build_topology(spec, m: int | None = None) -> Topology:
 
 def _masks(schedules):
     """Bit masks of PolicyStrings or plain 0/1 sequences, built once per search."""
-    return [(s if isinstance(s, PolicyString) else PolicyString(tuple(s), 0)).mask
-            for s in schedules]
+    try:
+        return [(s if isinstance(s, PolicyString) else PolicyString(tuple(s), 0)).mask
+                for s in schedules]
+    except (TypeError, ValueError):
+        raise ConfigError(f"schedules must be 0/1 sequences, got {schedules!r}") from None
 
 
 def search_non_overlap(schedules, n: int) -> OffsetWitness | None:
@@ -160,6 +163,8 @@ def search_non_overlap(schedules, n: int) -> OffsetWitness | None:
     against the first schedule and the composition is then re-verified, so
     any returned witness is sound even though the search is not complete.
     """
+    if check_int("n", n) < 0:
+        raise ConfigError(f"n must be >= 0, got {n}")
     masks = _masks(schedules)
     if not masks:
         return OffsetWitness(offsets=(), certified=True)

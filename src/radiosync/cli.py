@@ -125,11 +125,12 @@ def _build_config(args, n, m, fractional=False) -> SimConfig:
 
 # checks backed by an analysis checker that returns (passed, details), each
 # called with the trace and its clusters; each applies only to the
-# algorithms whose STRUCTURAL_CHECKS name it
+# algorithms whose STRUCTURAL_CHECKS name it.  Each checker is looked up in
+# `analysis` when called, so a stand-in for cli.analysis sees every call
 _ANALYSIS_CHECKS = {
-    "flatten": analysis.check_flatten,
+    "flatten": lambda trace, cl: analysis.check_flatten(trace, cl),
     "continuity": lambda trace, _cl: analysis.check_final_continuity(trace),
-    "dynamic": analysis.check_dynamic,
+    "dynamic": lambda trace, cl: analysis.check_dynamic(trace, cl),
 }
 
 

@@ -103,18 +103,6 @@ class PolicyRecord:
     def fully_past(self) -> bool:
         return self.active_start > self.span_end
 
-    def to_json(self):
-        return {
-            "owner": self.owner,
-            "kind": self.kind,
-            "bits": self.policy.as_string(),
-            "initial_len": self.policy.initial_len,
-            "nominal_start": str(self.nominal_start),
-            "effective_from": str(self.effective_from),
-            "phase": self.phase,
-            "meta": {k: str(v) for k, v in sorted(self.meta.items())},
-        }
-
 
 @dataclass
 class EnergyReport:
@@ -136,7 +124,8 @@ class EnergyReport:
 
 @dataclass
 class SimTrace:
-    """Everything observable about one run; a pure function of the config."""
+    """Everything observable about one run; a pure function of the config.
+    `_json()` writes it, less the message log, as the trace's JSON text."""
 
     cfg: dict
     n: int
@@ -164,39 +153,25 @@ class SimTrace:
     final_clocks: dict = field(default_factory=dict)  # owner -> (tau, q) at horizon
 
     def deterministic_view(self) -> dict:
-        """The trace as JSON data; its sorted-key JSON defines digest().
-        `cfg` is the trace's own dict, not a copy."""
-        return {
-            "cfg": self.cfg,
-            "horizon": str(self.horizon),
-            "wakes": [str(w) for w in self.wakes],
-            "policies": [p.to_json() for p in self.policies],
-            "on_sets": {str(t): list(s) for t, s in sorted(self.on_sets.items())},
-            "clock_events": [
-                [str(t), o, str(tau), str(q)] for t, o, tau, q in self.clock_events
-            ],
-            "stage2": [r.to_json() for r in self.stage2],
-            "dyn_events": [[str(t), kind, owner, [str(x) for x in payload]]
-                           for t, kind, owner, payload in self.dyn_events],
-            "edge_contacts": {
-                f"{u}-{v}": [str(t), str(d)] for (u, v), (t, d) in sorted(self.edge_contacts.items())
-            },
-            "flags": sorted(self.flags),
-            "energy": {str(o): c for o, c in sorted(self.energy_counts.items())},
-            "sync_complete_tick": None if self.sync_complete_tick is None
-            else str(self.sync_complete_tick),
-            "final_clocks": {str(o): [str(a), str(b)] for o, (a, b) in sorted(self.final_clocks.items())},
-        }
+        """The trace as JSON data: `_json()` read back, with `cfg` the
+        trace's own dict, not a copy."""
+        view = json.loads(self._json())
+        view["cfg"] = self.cfg
+        return view
 
     def digest(self) -> str:
-        """sha256 of `json.dumps(self.deterministic_view(), sort_keys=True)`.
+        """sha256 of `_json()`; a trace's identity across runs and commits."""
+        return hashlib.sha256(self._json().encode()).hexdigest()
 
-        Those bytes are written here straight from the fields, without the
-        view's dict per record, list per radio-on tick and key per tick;
-        tests/test_digest.py checks that the two agree.  Dicts appear with
-        their keys sorted as text ("10" < "2"), free text is escaped as
-        json.dumps escapes it, times are written with str(), and `cfg` is
-        encoded as it stands when the digest is taken.
+    def _json(self) -> str:
+        """The trace as JSON text: the definition of the format, hashed by
+        digest() and read back by deterministic_view().
+
+        The text is json.dumps(data, sort_keys=True)'s: object keys sorted
+        as text ("10" < "2"), ", " and ": " separators, strings escaped to
+        ASCII.  Times are str() strings; `cfg` is encoded as it stands.  The
+        bytes come straight from the fields, with no dict per record, list
+        per radio-on tick or key per tick.
         """
         q = _quote
         on = self.on_sets
@@ -221,7 +196,7 @@ class SimTrace:
         # Dict keys here are times, ids and "u-v" pairs: digits, '-' and '/',
         # which all sort after '"'.  So sorting whole '"key": value' entries
         # sorts them by key text.
-        blob = "".join([
+        return "".join([
             '{"cfg": ', _CFG_ENCODER.encode(self.cfg),
             ', "clock_events": [',
             ", ".join([f'["{t!s}", {o}, "{tau!s}", "{qf!s}"]'
@@ -243,7 +218,6 @@ class SimTrace:
             '], "sync_complete_tick": ', "null" if sct is None else f'"{sct!s}"',
             ', "wakes": [', ", ".join([f'"{w!s}"' for w in self.wakes]), "]}",
         ])
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def tau_at(self, owner: int, tick) -> int | None:
         """Displayed clock of `owner` at `tick` (None before wake)."""

@@ -89,21 +89,6 @@ class Stage2Record:
     phase: int
     clamped: bool
 
-    def to_json(self):
-        return {
-            "owner": self.owner,
-            "tick": str(self.tick),
-            "frozen_j": str(self.frozen_j),
-            "member_ids": list(self.member_ids),
-            "len_c": str(self.len_c),
-            "ell": self.ell,
-            "mu": self.mu,
-            "next_local": str(self.next_local),
-            "next_global": str(self.next_global),
-            "phase": self.phase,
-            "clamped": self.clamped,
-        }
-
 
 class Inbox(list):
     """One receiver's inbox on a shared delivery (engine.World._exchange):

@@ -132,6 +132,21 @@ def test_pairwise_composed_search():
     assert w is not None and w.certified
 
 
+@pytest.mark.parametrize("schedules, n", [
+    # each once raised TypeError or ValueError, or returned None as if no
+    # offsets in [0, n] defeated the schedules
+    ([(1, 1), (1, 1)], "9"),
+    ([(1, 1), (1, 1)], 2.0),
+    ([(1, 1), (1, 1)], -3),
+    ([(1, 2), (1, 1)], 9),
+    ([None, (1, 1)], 9),
+    (5, 9),
+], ids=["n-str", "n-float", "n-negative", "bit-two", "schedule-None", "not-iterable"])
+def test_search_non_overlap_rejects_malformed_arguments(schedules, n):
+    with pytest.raises(ConfigError):
+        adversary.search_non_overlap(schedules, n)
+
+
 def test_budget_curve_thresholds():
     rows = adversary.budget_curve(100, 20)
     by_budget = {r["budget"]: r for r in rows}

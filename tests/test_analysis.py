@@ -366,6 +366,14 @@ def test_check_dynamic_fails_on_overlapping_blocks():
     assert_fails_naming(analysis.check_dynamic(tr), "windows overlap in [0,2n]")
 
 
+def test_check_dynamic_fails_on_a_dense_cluster():
+    tr = dynamic_run()
+    assert analysis.clusters(tr)[0].interval == (0, 7)
+    for owner in (1, 2):  # two main parts on at every tick of the cluster
+        tr.policies.append(rec(owner, [1] * 8, 0))
+    assert_fails_naming(analysis.check_dynamic(tr), "cluster (0, 7) has main density 2 > 1")
+
+
 def test_check_dynamic_fails_without_a_queue_lineage():
     tr = dynamic_run()
     tr.dyn_events = [e for e in tr.dyn_events if e[1] not in ("lead", "own")]

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from radiosync import analysis
+from radiosync import analysis, cli
 from radiosync.adversary import build_topology
 from radiosync.cli import _ROWS_PER_WRITE, _write_trace_csv, main
 from radiosync.core import SimConfig
@@ -56,6 +56,38 @@ def test_run_computes_clusters_once(tmp_path, capsys, monkeypatch, algorithm, ch
                           "--wake", "random", "--check", checks,
                           "--out", str(tmp_path / "report.json")], capsys)
     assert code == 0 and len(calls) == 1
+
+
+class RecordingAnalysis:
+    """Stands in for the analysis module and records every call made
+    through it, with its arguments and result."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(analysis, name)
+
+        def recorded(*args):
+            out = fn(*args)
+            self.calls.append((name, args, out))
+            return out
+        return recorded
+
+
+@pytest.mark.parametrize("algorithm, check", [("synchronize", "flatten"),
+                                              ("dynamic", "dynamic")])
+def test_run_calls_checkers_through_cli_analysis(tmp_path, capsys, monkeypatch,
+                                                 algorithm, check):
+    stand_in = RecordingAnalysis()
+    monkeypatch.setattr(cli, "analysis", stand_in)
+    code, _, _ = run_cli(["run", "--n", "64", "--m", "8", "--algorithm", algorithm,
+                          "--wake", "random", "--check", f"sync,{check},budget",
+                          "--out", str(tmp_path / "report.json")], capsys)
+    assert code == 0
+    assert [name for name, _args, _out in stand_in.calls] == ["clusters", f"check_{check}"]
+    (_, (trace,), cl), (_, args, _) = stand_in.calls
+    assert args[0] is trace and args[1] is cl
 
 
 def test_bad_n_exits_two(capsys):

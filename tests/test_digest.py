@@ -1,12 +1,13 @@
-"""SimTrace.digest() writes the JSON of the deterministic view by hand.
+"""SimTrace._json() writes the trace's JSON text by hand.
 
-The digest is defined as the sha256 of
-json.dumps(trace.deterministic_view(), sort_keys=True); digest() writes
-those bytes straight from the trace's fields.  These tests compare the two
-on runs of every algorithm on both engines, and on a trace edited by hand
-so that every field is non-empty and holds the cases the writer must get
-right: keys that sort differently as text than as numbers, Fraction times,
-None, bools, and strings with quotes, backslashes and non-ASCII text.
+digest() hashes that text and deterministic_view() reads it back.  These
+tests hold both against `reference_view`, an independent encoding of the
+format as JSON data, whose json.dumps(..., sort_keys=True) must be the
+written text.  They compare on runs of every algorithm on both engines, and
+on a trace edited by hand so that every field is non-empty and holds the
+cases the writer must get right: keys that sort differently as text than
+as numbers, Fraction times, None, bools, and strings with quotes,
+backslashes and non-ASCII text.
 """
 
 import hashlib
@@ -24,9 +25,58 @@ from radiosync.policy import PolicyString
 from radiosync.protocols import PROTOCOLS
 
 
-def view_digest(trace):
-    blob = json.dumps(trace.deterministic_view(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+def reference_view(trace):
+    """The trace format as JSON data, built field by field; `cfg` is the
+    trace's own dict."""
+    return {
+        "cfg": trace.cfg,
+        "horizon": str(trace.horizon),
+        "wakes": [str(w) for w in trace.wakes],
+        "policies": [{
+            "owner": p.owner,
+            "kind": p.kind,
+            "bits": p.policy.as_string(),
+            "initial_len": p.policy.initial_len,
+            "nominal_start": str(p.nominal_start),
+            "effective_from": str(p.effective_from),
+            "phase": p.phase,
+            "meta": {k: str(v) for k, v in sorted(p.meta.items())},
+        } for p in trace.policies],
+        "on_sets": {str(t): list(s) for t, s in sorted(trace.on_sets.items())},
+        "clock_events": [[str(t), o, str(tau), str(q)] for t, o, tau, q in trace.clock_events],
+        "stage2": [{
+            "owner": r.owner,
+            "tick": str(r.tick),
+            "frozen_j": str(r.frozen_j),
+            "member_ids": list(r.member_ids),
+            "len_c": str(r.len_c),
+            "ell": r.ell,
+            "mu": r.mu,
+            "next_local": str(r.next_local),
+            "next_global": str(r.next_global),
+            "phase": r.phase,
+            "clamped": r.clamped,
+        } for r in trace.stage2],
+        "dyn_events": [[str(t), kind, owner, [str(x) for x in payload]]
+                       for t, kind, owner, payload in trace.dyn_events],
+        "edge_contacts": {f"{u}-{v}": [str(t), str(d)]
+                          for (u, v), (t, d) in sorted(trace.edge_contacts.items())},
+        "flags": sorted(trace.flags),
+        "energy": {str(o): c for o, c in sorted(trace.energy_counts.items())},
+        "sync_complete_tick": None if trace.sync_complete_tick is None
+        else str(trace.sync_complete_tick),
+        "final_clocks": {str(o): [str(a), str(b)]
+                         for o, (a, b) in sorted(trace.final_clocks.items())},
+    }
+
+
+def assert_written_as_reference(trace):
+    ref = reference_view(trace)
+    blob = json.dumps(ref, sort_keys=True).encode()
+    assert trace.digest() == hashlib.sha256(blob).hexdigest()
+    view = trace.deterministic_view()
+    assert view == ref
+    assert view["cfg"] is trace.cfg
 
 
 def simulate(cfg):
@@ -65,8 +115,7 @@ def small_configs(draw):
 @example(SimConfig(n=64, m=12, wake_times="seeded-random", seed=5, algorithm="synchronize"))
 @example(SimConfig(n=32, m=11, wake_times="seeded-random", seed=2, algorithm="dynamic-synch"))
 def test_written_digest_is_the_hash_of_the_view(cfg):
-    trace = simulate(cfg)
-    assert trace.digest() == view_digest(trace)
+    assert_written_as_reference(simulate(cfg))
 
 
 @pytest.mark.parametrize("fractional", [False, True])
@@ -75,7 +124,7 @@ def test_run_cut_short_writes_null_sync_tick(fractional):
                     max_ticks=12, fractional=fractional)
     trace = simulate(cfg)
     assert trace.sync_complete_tick is None
-    assert trace.digest() == view_digest(trace)
+    assert_written_as_reference(trace)
 
 
 def test_every_field_filled_by_hand():
@@ -104,8 +153,8 @@ def test_every_field_filled_by_hand():
                                      member_ids=(2, 10, 11), len_c=4, ell=3, mu=0,
                                      next_local=20, next_global=Fraction(41, 2), phase=2,
                                      clamped=True))
-    view = trace.deterministic_view()
+    view = reference_view(trace)
     assert all(value not in (None, [], {}) for value in view.values())
     assert {rec["phase"] is None for rec in view["policies"]} == {True, False}
     assert {rec["clamped"] for rec in view["stage2"]} == {True, False}
-    assert trace.digest() == view_digest(trace)
+    assert_written_as_reference(trace)

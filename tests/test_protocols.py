@@ -381,6 +381,22 @@ def test_pass_without_head_is_flagged_by_a_lone_radio():
     assert f"pass-without-head p1 t{t}" in trace.flags
 
 
+class LostHandOffWorld(World):
+    """Delivers every message but the queue hand-offs ("pass")."""
+
+    def _exchange(self, t, on_sorted, outs):
+        outs = [[msg for msg in out if msg.kind != "pass"] for out in outs]
+        return super()._exchange(t, on_sorted, outs)
+
+
+def test_missing_hand_off_is_flagged_at_the_first_main_tick():
+    cfg = SimConfig(n=64, m=8, wake_times="uniform-spread", algorithm="dynamic-synch")
+    assert not run(cfg).flags
+    # each follower's first main tick is its predecessor's pass tick
+    flags = LostHandOffWorld(cfg).run().flags
+    assert flags[:2] == ["missing-pass p2 t79", "missing-pass p3 t143"]
+
+
 # --- quiet ticks -------------------------------------------------------------
 
 def _quiet_procs(algorithm):
