@@ -48,7 +48,8 @@ class Topology:
         if not isinstance(self.edges, (set, frozenset)):
             raise ConfigError(f"edges must be a set of (u, v) pairs, got {self.edges!r}")
         for e in self.edges:
-            if not (isinstance(e, tuple) and len(e) == 2 and all(isinstance(x, int) for x in e)
+            # int endpoints, not bools: the config echo would write True as true
+            if not (isinstance(e, tuple) and len(e) == 2 and all(type(x) is int for x in e)
                     and 1 <= e[0] < e[1] <= self.m):
                 raise ConfigError(f"bad edge {e!r} for m={self.m}")
 

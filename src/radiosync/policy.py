@@ -23,8 +23,10 @@ class PolicyString:
     initial_len: int
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("policy bits must be 0 or 1")
+        # int bits only: a float or bool equal to 0 or 1 would be written
+        # into the trace as its own text ("1.0", "True")
+        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
+            raise ValueError("policy bits must be the ints 0 or 1")
         if not 0 <= self.initial_len <= len(self.bits):
             raise ValueError("initial_len out of range")
 

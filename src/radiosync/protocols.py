@@ -18,7 +18,11 @@ the lexicographically largest (progress, id) sender in the inbox if it
 beats your own pair.  In the phased algorithm the progress counter is the
 ticks since the current policy started (and is overwritten on adoption,
 which is what lines up the reschedule arithmetic across a merged
-cluster).  In the other algorithms every policy starts at wake, so the
+cluster); like the clock it is one number, t + delta.  A reschedule sets
+it at its report tick to count from the next policy's start, which may
+lie ahead, yet no read sees it early: J is read only at its processor's
+own radio-on ticks, and the processor's earlier policies all end by the
+report tick.  In the other algorithms every policy starts at wake, so the
 counter coincides with the clock itself; messages carry the clock in the
 progress field.  In fractional mode the adopted clock carries a sub-unit
 offset q as well (adopt_fractional).
@@ -31,12 +35,11 @@ values and progress counters do not depend on the frame.  Trace records
 global time, local tick + phi; only the carries q and qp are Fractions.
 """
 
-import bisect
 import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .core import ceil_log2, compute_k
 from .policy import PolicyString, basic_policy, naive_policy
@@ -179,17 +182,11 @@ class _Proto:
     include one clock and one progress counter among the radios on.  Then
     `sync_winner` picks a sender with the receiver's own (j, tau), so
     `set_clock` writes the clock the receiver holds (the integer engine's
-    carries are 0) and logs no clock event, and `_push_jstep` leaves the
-    steps as they are: the last step effective by t holds the value j
-    already has, so it pushes none, or puts back the one effective at t.
-    It would drop the steps effective after t, but no radio on at t holds
-    one: a step is pushed at a wake or an adoption, effective then, or at
-    a reschedule's report tick, effective at the first tick the new policy
-    is on, and the processor's earlier policies all end by the report
-    tick.  The base class is never quiet.  `dynamic-synch` is quiet on one
-    clock outside its initial rounds, main ticks and pass ticks: there its
-    handlers, like `synchronize`'s between report ticks and policy ends,
-    only adopt.
+    carries are 0) and logs no clock event, and the progress counter it
+    adopts is the one the receiver holds.  The base class is never quiet.
+    `dynamic-synch` is quiet on one clock outside its initial rounds, main
+    ticks and pass ticks: there its handlers, like `synchronize`'s between
+    report ticks and policy ends, only adopt.
 
     Every message one processor sends in one sub-phase carries the same
     tau, j and q: handlers build their messages after they adopt, and
@@ -235,23 +232,18 @@ class _Proto:
             self._unmet = set(world.adj[pid])  # neighbours with no edge contact yet
         self.wake = None
         self._delta = None  # tau(t) = t + delta, t local
-        self._jsteps = []  # [(effective_tick, jdelta)], strictly ascending
         self.q_frac = 0
 
     # clock / counter reads ------------------------------------------------
     def tau(self, t):
         return t + self._delta
 
-    def j(self, t):
-        i = bisect.bisect_right(self._jsteps, t, key=itemgetter(0))
-        if i == 0:
-            return self.tau(t)
-        return t + self._jsteps[i - 1][1]
+    j = tau  # the progress counter; only the phased algorithm keeps its own
 
     # state changes ---------------------------------------------------------
-    def set_clock(self, t, tau_v, j_v=None, q_v=0, q_prime=0):
-        """Set the clock (and optionally the progress counter): zero at wake,
-        a peer's on adoption, with the peer's carry (q_v, q_prime)."""
+    def set_clock(self, t, tau_v, q_v=0, q_prime=0):
+        """Set the clock: zero at wake, a peer's on adoption, with the peer's
+        carry (q_v, q_prime)."""
         old = self._delta
         old_q = self.q_frac
         if q_v or q_prime:
@@ -259,28 +251,12 @@ class _Proto:
         else:
             self.q_frac = 0
         self._delta = tau_v - t
-        if j_v is not None:
-            self._push_jstep(t, j_v - t)
         if self._delta != old or self.q_frac != old_q:
             # the engine compares global deltas: delta - phi, plus the carry
             phi = self.phi
             self.world._clock_change(self.id, None if old is None else old - phi + old_q,
                                      self._delta - phi + self.q_frac)
             self.trace.clock_events.append((t + phi, self.id, self.tau(t), self.q_frac))
-
-    def _push_jstep(self, eff, val):
-        """j(t) = t + val from eff on.  Steps effective at or after eff are
-        dropped, and a step of the value the last one left holds is not
-        pushed, so no two consecutive steps share a value."""
-        steps = self._jsteps
-        while steps and steps[-1][0] >= eff:
-            steps.pop()
-        if not steps or steps[-1][1] != val:
-            steps.append((eff, val))
-
-    def set_j_anchor(self, effective_tick, nominal_start):
-        """J counts ticks since nominal_start, from effective_tick onwards."""
-        self._push_jstep(effective_tick, -nominal_start)
 
     def schedule(self, kind, policy, nominal_start, phase=None, meta=None):
         """Lay down a PolicyString starting at local tick nominal_start; the
@@ -334,19 +310,17 @@ class _Proto:
         pass
 
     def adopt(self, t, inbox):
-        """Apply the early-sync rule (see sync_winner) over a whole inbox."""
+        """Apply the early-sync rule (see sync_winner) over a whole inbox;
+        return the message whose clock was adopted, or None."""
         if not inbox:
-            return
-        msg = sync_winner(self._progress(t), self.id, inbox)
+            return None
+        msg = sync_winner(self.j(t), self.id, inbox)
         if msg is not None:
-            self.set_clock(t, msg.tau, j_v=msg.j if self.USES_POLICY_PROGRESS else None,
-                           q_v=msg.q, q_prime=msg.qp)
-
-    def _progress(self, t):
-        return self.j(t) if self.USES_POLICY_PROGRESS else self.tau(t)
+            self.set_clock(t, msg.tau, msg.q, msg.qp)
+        return msg
 
     def _msg(self, t, kind, payload=()):
-        return Message(kind=kind, sender=self.id, tau=self.tau(t), j=self._progress(t),
+        return Message(kind=kind, sender=self.id, tau=self.tau(t), j=self.j(t),
                        payload=tuple(payload), q=self.q_frac)
 
 
@@ -361,7 +335,6 @@ class SynchronizeProto(_Proto):
     """
 
     # a lone tick changes state only at cur_end and stage2_tick: each ends a policy
-    USES_POLICY_PROGRESS = True
     SINGLE_HOP = True
     STRUCTURAL_CHECKS = ("flatten", "continuity")
 
@@ -385,13 +358,23 @@ class SynchronizeProto(_Proto):
                 return False
         return True
 
+    def j(self, t):
+        return t + self._jdelta
+
+    def adopt(self, t, inbox):
+        """Adopt the winner's progress counter along with its clock."""
+        msg = super().adopt(t, inbox)
+        if msg is not None:
+            self._jdelta = msg.j - t
+        return msg
+
     def on_wake(self, t):
         self.rounds = ceil_log2(self.n)
         self.exec_no = 1
         self.stage2_tick = None
         self.stage2_clamped = False
         self.frozen_j = None
-        self.set_j_anchor(t, t)
+        self._jdelta = -t  # j(t) = t + jdelta: the ticks since the current policy started
         self.schedule("basic", self.world.policy, nominal_start=t, phase=1)
         self.cur_end = t + len(self.world.policy) - 1  # last tick of the current policy
 
@@ -429,7 +412,7 @@ class SynchronizeProto(_Proto):
         ))
         self.stage2_tick = None
         self.schedule("basic", self.world.policy, nominal_start=gstart, phase=self.exec_no)
-        self.set_j_anchor(max(gstart, t + 1), gstart)
+        self._jdelta = -gstart  # read next on the new policy's ticks (module docstring)
         self.cur_end = gstart + len(self.world.policy) - 1
         if self.cur_end < t + 1:
             # fully past (radio-on from t + 1 only), so no adoption: J at
@@ -469,7 +452,6 @@ class DynamicProto(_Proto):
     across the concurrently running extra policy).
     """
 
-    USES_POLICY_PROGRESS = False
     PHASES = ("react", "react2", "absorb")
     SINGLE_HOP = True
     FRACTIONAL = False  # the queue hand-off's sub-unit timing is not defined
@@ -631,7 +613,6 @@ class DynamicProto(_Proto):
 class NaiveProto(_Proto):
     """Always-on baseline: n+1 consecutive on-ticks, early-sync adoption."""
 
-    USES_POLICY_PROGRESS = False
     RECORDS_EDGES = True
 
     @staticmethod
@@ -672,7 +653,6 @@ class PairwiseProto(_Proto):
     processor; each edge records its first overlap tick and clock delta.
     Clocks are never adjusted."""
 
-    USES_POLICY_PROGRESS = False
     RECORDS_EDGES = True
 
     @staticmethod

@@ -133,15 +133,17 @@ def test_pairwise_composed_search():
 
 
 @pytest.mark.parametrize("schedules, n", [
-    # each once raised TypeError or ValueError, or returned None as if no
-    # offsets in [0, n] defeated the schedules
+    # each once raised TypeError or ValueError, returned None as if no
+    # offsets in [0, n] defeated the schedules, or ran a float bit as a 1
     ([(1, 1), (1, 1)], "9"),
     ([(1, 1), (1, 1)], 2.0),
     ([(1, 1), (1, 1)], -3),
     ([(1, 2), (1, 1)], 9),
+    ([(1, 1.0), (1, 1)], 9),
     ([None, (1, 1)], 9),
     (5, 9),
-], ids=["n-str", "n-float", "n-negative", "bit-two", "schedule-None", "not-iterable"])
+], ids=["n-str", "n-float", "n-negative", "bit-two", "bit-float", "schedule-None",
+        "not-iterable"])
 def test_search_non_overlap_rejects_malformed_arguments(schedules, n):
     with pytest.raises(ConfigError):
         adversary.search_non_overlap(schedules, n)

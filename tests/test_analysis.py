@@ -352,6 +352,40 @@ def test_check_flatten_fails_on_a_broken_successor(how):
     assert_fails_naming(analysis.check_flatten(tr), detail)
 
 
+def pristine_group():
+    """A passing synchronize run and the stage-2 indices of its one pristine
+    report group (p4 and p5 at tick 714, learned length 74), the one group
+    whose recentring geometry check_flatten checks in full."""
+    tr = run(SimConfig(n=64, m=8, wake_times="seeded-random", algorithm="synchronize"))
+    report = analysis.check_flatten(tr)
+    assert report.passed
+    assert not any(d.startswith("tick 714:") for d in report.details)
+    group = [i for i, r in enumerate(tr.stage2) if r.tick == 714]
+    assert [(tr.stage2[i].owner, tr.stage2[i].len_c) for i in group] == [(4, 74), (5, 74)]
+    return tr, group
+
+
+@pytest.mark.parametrize("how, detail", [
+    ("len_c", "tick 714: learned length 76 != span 74"),
+    ("tick", "tick 715: cluster start 586 + 2n = 714"),
+    ("target", "tick 714: successor [1015,1150] misses target [815,943]"),
+])
+def test_check_flatten_fails_on_broken_geometry(how, detail):
+    tr, group = pristine_group()
+    for i in group:
+        r = tr.stage2[i]
+        if how == "len_c":
+            tr.stage2[i] = dataclasses.replace(r, len_c=r.len_c + 2)
+        elif how == "tick":
+            tr.stage2[i] = dataclasses.replace(r, tick=r.tick + 1)
+        else:  # the successors, consistent with their reports, 200 ticks late
+            tr.stage2[i] = dataclasses.replace(r, next_global=r.next_global + 200)
+            for j, p in enumerate(tr.policies):
+                if p.kind == "basic" and (p.owner, p.phase) == (r.owner, r.phase + 1):
+                    tr.policies[j] = dataclasses.replace(p, nominal_start=p.nominal_start + 200)
+    assert_fails_naming(analysis.check_flatten(tr), detail)
+
+
 def dynamic_run():
     tr = run(SimConfig(n=64, m=8, wake_times="uniform-spread", algorithm="dynamic-synch"))
     assert analysis.check_dynamic(tr).passed

@@ -172,7 +172,9 @@ def test_topology_helpers():
     assert t.adjacency()[2] == {1, 3, 4}
 
 
-@pytest.mark.parametrize("edge", [(1, 2, 3), (1,), (1, "2"), (2, 1), (0, 1), (1, 3), "12"])
+# (True, 2) once ran as (1, 2), with another digest: the config echo wrote true
+@pytest.mark.parametrize("edge", [(1, 2, 3), (1,), (1, "2"), (2, 1), (0, 1), (1, 3), "12",
+                                  (True, 2)])
 def test_malformed_edges_rejected(edge):
     with pytest.raises(ConfigError, match="bad edge"):
         Topology(m=2, edges=frozenset({edge}))

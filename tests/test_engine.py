@@ -118,25 +118,6 @@ def test_clock_events_in_tick_order(algorithm):
         assert ticks and ticks == sorted(ticks)
 
 
-def test_j_matches_linear_definition():
-    world = World(SimConfig(n=16, m=4, wake_times="seeded-random", seed=5,
-                            algorithm="synchronize"))
-    world.run()
-    for proto in world.procs.values():
-        effs = [eff for eff, _val in proto._jsteps]
-        assert len(effs) >= 2 and effs == sorted(set(effs))
-        # before the first jstep, at and beside each, and halfway between
-        ticks = {world.horizon}
-        ticks |= {e + d for e in effs for d in (-1, 0, 1)}
-        ticks |= {(a + b) // 2 for a, b in zip(effs, effs[1:])}
-        for t in sorted(ticks):
-            want = proto.tau(t)
-            for eff, val in proto._jsteps:
-                if eff <= t:
-                    want = t + val
-            assert proto.j(t) == want, (proto.id, t)
-
-
 def _record_audits(monkeypatch, algorithm):
     calls = []
     monkeypatch.setattr(protocols.PROTOCOLS[algorithm], "audit",

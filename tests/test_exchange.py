@@ -84,7 +84,7 @@ class CheckedWorld(World):
                 firsts.setdefault(msg.sender, msg)
             assert firsts == {u: msg for u, msg in box.first.items() if u != v}
             if box:  # at the receiver's progress, and at one every sender beats
-                for j in (self.procs[v]._progress(t), min(msg.j for msg in box) - 1):
+                for j in (self.procs[v].j(t), min(msg.j for msg in box) - 1):
                     assert sync_winner(j, v, box) is scan_winner(j, v, list(box)), (t, v, j)
         return boxes
 

@@ -257,8 +257,8 @@ class _FrameLog(FracWorld):
         inbox = self._slots[pid][2]
         super()._slot_close(close_key, pid)
         proto = self.procs[pid]
-        self.ticks += [proto._delta, *(x for step in proto._jsteps for x in step)]
-        self.ticks += [x for x in (getattr(proto, "stage2_tick", None),
+        self.ticks += [x for x in (proto._delta, getattr(proto, "_jdelta", None),
+                                   getattr(proto, "stage2_tick", None),
                                    getattr(proto, "cur_end", None)) if x is not None]
         for msg in inbox:
             self.ticks += [msg.tau, msg.j]

@@ -51,6 +51,14 @@ def test_policy_len():
         policy_len(PolicyString(bits=(0, 0), initial_len=0))
 
 
+@pytest.mark.parametrize("bits", [(1.0, True, 0, 1), (0, 1.0), (True, 0), (0, 2)])
+def test_policy_bits_must_be_int_zero_or_one(bits):
+    # floats and bools equal to 0 or 1 once passed, and as_string() wrote
+    # (1.0, True, 0, 1) as '1.0True01'
+    with pytest.raises(ValueError):
+        PolicyString(bits, 0)
+
+
 def test_on_ticks():
     assert on_ticks(basic_policy(2), 10) == {10, 11, 13, 15}
     assert on_ticks(PolicyString(bits=(0, 0, 0), initial_len=0), 0) == set()

@@ -193,16 +193,6 @@ def test_clock_monotonicity():
             per[pid] = (t, tau)
 
 
-def test_j_steps_never_repeat_a_value():
-    # an adoption that leaves j as it is pushes no step
-    world = World(SimConfig(n=64, m=8, wake_times="seeded-random", seed=0))
-    world.run()
-    steps = [p._jsteps for p in world.procs.values()]
-    assert sum(map(len, steps)) > 2 * len(steps)
-    for s in steps:
-        assert all(a[1] != b[1] for a, b in zip(s, s[1:])), s
-
-
 # --- queue-based algorithm behaviour ----------------------------------------
 
 def test_lone_leader_block_follows_initial_part():
@@ -407,7 +397,7 @@ def _quiet_procs(algorithm):
     world.run()
     for p in world.procs.values():
         p._delta = 5
-        p._jsteps = [(0, 3)]
+        p._jdelta = 3  # j, where the class keeps its own
         p.stage2_tick = p.cur_end = None
         p.pass_tick, p.main_ticks = None, set()
         if p.RECORDS_EDGES:
@@ -431,7 +421,7 @@ def test_each_condition_alone_turns_quiet_off(algorithm, change, quiet_after):
     if change == "clock":
         last._delta += 1
     elif change == "j":
-        last._jsteps = [(0, 4)]
+        last._jdelta = 4
     elif change == "unmet":
         last._unmet = {procs[0].id}
         assert quiet(procs[1:], t)  # an unmet neighbour whose radio is off

@@ -10,23 +10,86 @@ horizon, runs `transmissions`, every PHASES handler and `tick_end` for
 every radio on at every radio-on tick, lone radios and quiet ticks
 included, and builds each receiver's inbox from the topology, as a plain
 list.  The two must give the same digest.
+
+`synchronize` keeps its progress counter J as one int, `t + _jdelta`,
+which a reschedule overwrites at its report tick although the next
+policy may start later.  Both engines, and the fractional one, run it
+here as `StepHistoryProto`, which also keeps J the long way, as a
+history of steps, and asserts that the two agree on every read.
 """
+
+import bisect
+from fractions import Fraction
+from operator import itemgetter
+from unittest.mock import patch
 
 from hypothesis import example, given, settings, strategies as st
 
 from radiosync.adversary import build_topology
 from radiosync.core import SimConfig
 from radiosync.engine import World
-from radiosync.protocols import INBOX_ORDER
+from radiosync.fractional import FracWorld
+from radiosync.protocols import INBOX_ORDER, PROTOCOLS, SynchronizeProto
 
 ALGORITHMS = ["synchronize", "dynamic-synch", "naive", "pairwise"]
+
+
+class StepHistoryProto(SynchronizeProto):
+    """J as a history of (effective tick, jdelta) steps, strictly ascending
+    in tick: a step at wake and at each adoption, effective then, and one
+    at each reschedule, effective at the first tick the new policy can be
+    on.  `j(t)` bisects for the step in force at t, checks it against the
+    one int, and counts the read."""
+
+    def __init__(self, world, pid):
+        super().__init__(world, pid)
+        self._jsteps = []
+        self.j_reads = 0
+
+    def _push_jstep(self, eff, val):
+        """j(t) = t + val from eff on; steps effective at or after eff are
+        dropped, and one of the value the last step holds is not pushed."""
+        steps = self._jsteps
+        while steps and steps[-1][0] >= eff:
+            steps.pop()
+        if not steps or steps[-1][1] != val:
+            steps.append((eff, val))
+
+    def j(self, t):
+        i = bisect.bisect_right(self._jsteps, t, key=itemgetter(0))
+        want = t + self._jsteps[i - 1][1] if i else self.tau(t)
+        got = super().j(t)
+        assert got == want, (self.id, t, got, want, self._jsteps)
+        self.j_reads += 1
+        return got
+
+    def on_wake(self, t):
+        super().on_wake(t)
+        self._push_jstep(t, -t)
+
+    def adopt(self, t, inbox):
+        msg = super().adopt(t, inbox)
+        if msg is not None:
+            self._push_jstep(t, msg.j - t)
+        return msg
+
+    def _start_execution(self, t, gstart, *args):
+        super()._start_execution(t, gstart, *args)
+        self._push_jstep(max(gstart, t + 1), -gstart)
+
+
+def with_step_history(world_cls, cfg):
+    """world_cls(cfg), its synchronize processors StepHistoryProto."""
+    with patch.dict(PROTOCOLS, synchronize=StepHistoryProto):
+        return world_cls(cfg)
 
 
 class ReferenceWorld(World):
     """Every tick, every handler of every radio on, per-receiver inboxes."""
 
     def __init__(self, cfg):
-        super().__init__(cfg)
+        with patch.dict(PROTOCOLS, synchronize=StepHistoryProto):
+            super().__init__(cfg)
         self._skip_lone = False  # so every radio-on tick is in _on_map
 
     def run(self):
@@ -49,8 +112,8 @@ class ReferenceWorld(World):
     def _visit(self, t, on):
         self.trace.on_sets[t] = tuple(on)
         procs = [self.procs[pid] for pid in on]
-        # the _Proto contract: no radio on holds a j step effective after t
-        assert all(p._jsteps[-1][0] <= t for p in procs if p._jsteps), t
+        # why one int is J: no radio on holds a j step effective after t
+        assert all(p._jsteps[-1][0] <= t for p in procs if getattr(p, "_jsteps", None)), t
         outs = {p.id: p.transmissions(t) for p in procs}
         for name in type(procs[0]).PHASES:
             inboxes = {v: sorted([msg for u in on if u != v and u in self.adj[v]
@@ -104,4 +167,32 @@ def small_configs(draw):
                    topology=build_topology("l-connected:1", 14), algorithm="naive",
                    max_ticks=30))
 def test_run_matches_the_reference_engine(cfg):
-    assert World(cfg).run().digest() == ReferenceWorld(cfg).run().digest()
+    want = ReferenceWorld(cfg).run().digest()
+    assert with_step_history(World, cfg).run().digest() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24), st.lists(st.tuples(st.integers(1, 8), st.integers(0, 10**6)),
+                                    min_size=1, max_size=8),
+       st.none() | st.integers(1, 6), st.booleans())
+def test_fractional_j_matches_the_step_history(n, raw, k_override, cut):
+    # rational wakes in [0, n], denominators up to 8
+    wakes = [Fraction(x % (n * d + 1), d) for d, x in raw]
+    cfg = SimConfig(n=n, m=len(wakes), wake_times=wakes, algorithm="synchronize",
+                    fractional=True, k_override=k_override,
+                    max_ticks=4 * n if cut else None)
+    want = FracWorld(cfg).run().digest()
+    assert with_step_history(FracWorld, cfg).run().digest() == want
+
+
+def test_j_matches_the_step_history():
+    # reschedules whose next policy starts later than, and before, the
+    # tick after the report: the one int is set early, and J still holds
+    for world_cls in (World, ReferenceWorld):
+        world = with_step_history(world_cls, SimConfig(n=16, m=8, wake_times="seeded-random",
+                                                       seed=2))
+        trace = world.run()
+        starts = [(r.next_global > r.tick + 1) for r in trace.stage2]
+        assert True in starts and False in starts
+        for proto in world.procs.values():
+            assert len(proto._jsteps) >= 2 and proto.j_reads >= 10, proto.id
