@@ -16,6 +16,7 @@ Conventions (all exact, no floats):
 
 import bisect
 import functools
+import math
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,8 +88,8 @@ def discontinuity_points(trace, lo=None, hi=None) -> set:
         if a > hi:
             break
         if b >= t:
-            out.update(range(t, a))
-            t = b + 1
+            out.update(range(t, math.ceil(a)))  # ticks: a and b may be Fractions
+            t = math.floor(b) + 1
     out.update(range(t, hi + 1))
     return out
 

@@ -55,7 +55,8 @@ every radio hears every other, so with SHARED_MIN_RADIOS or more radios on
 the delivery is shared: each inbox is the list less its receiver's own
 block of messages (a protocols.Inbox), and the early-sync winner and the
 edge contacts are read from what the sub-phase found once, not scanned
-per receiver.  The fractional engine delivers per slot, into plain lists.
+per receiver.  The fractional engine takes the filter path at each slot
+start, with its own hearing rule (fractional.FracWorld).
 The message log (`SimTrace.messages`) is recorded only on request.
 """
 
@@ -223,7 +224,7 @@ class SimTrace:
         """Displayed clock of `owner` at `tick` (None before wake)."""
         for t, o, tau, _q in reversed(self.clock_events):
             if o == owner and t <= tick:
-                return tau + (tick - t)
+                return tau + math.floor(tick - t)  # at the owner's last slot by tick
         return None
 
 
@@ -239,8 +240,8 @@ class World:
     and no `_on_map` entry: it is already in `trace.on_sets`.  A visited
     tick that its protocol class calls quiet (`_quiet`) has its on-set
     written and no handler run.  `trace.energy_counts` is counted by
-    `_schedule` alone.  The fractional engine overrides only `_time_unit`
-    and the handlers.
+    `_schedule` alone.  The fractional engine overrides only `_time_unit`,
+    `_on_instant` and `_slot_close`.
     """
 
     def __init__(self, cfg: SimConfig, record_messages: bool = False):
@@ -367,9 +368,9 @@ class World:
                 self._last_unequal = t - 1
             self._settled = t
 
-    def _wake(self, t, pid):
-        """Wake pid at its local tick t."""
-        proto = self.procs[pid]
+    def _wake(self, instant, pid):
+        """Wake pid at `instant`: its local tick is the instant's integer part."""
+        t, proto = math.floor(instant), self.procs[pid]
         proto.wake = t
         self._awake.add(pid)
         self._in_wake_hook = True

@@ -62,37 +62,32 @@ def timeline_anchor(wake, slot_index, tau, q) -> Fraction:
 class FracWorld(World):
     """The integer engine's event loop over rational slot grids.
 
-    It shares the integer engine's state and event loop (set-up, scheduling,
-    clock and synchronization bookkeeping) and replaces only the handling
-    of a wake and of a radio-on instant.  Every slot start and every slot close lies on
-    the grid of 1/unit with unit = 2 * lcm(wake denominators), so event
-    keys stay integers.  Within an instant, wakes come first, then
-    slot-start exchanges (`_on_instant`), then slot closes half a unit after
-    a start (`_slot_close`, where completion sampling and reschedule
-    computations run, after every message that can still reach the slot
-    has arrived).  Closes at I are handled after starts at I, so at a start
-    the open slots (`_slots`, one record each) are exactly those that
-    started in [I - 1/2, I]: the slots a new one overlaps by at least half
-    a unit.  No state changes between an instant's first `transmissions`
-    and its adoptions, so each slot's messages are built once per instant,
-    when a pair first needs them.  A close runs `react` and `tick_end` only:
-    the queue protocol, the one class with later sub-phases, is rejected.
+    It shares the integer engine's state, event loop and wakes, and replaces
+    only the time unit and the handling of a radio-on instant.  Every slot
+    start and every slot close lies on the grid of 1/unit with unit =
+    2 * lcm(wake denominators), so event keys stay integers: a processor's
+    slots start at keys `t * unit + off` for its integer local ticks t (its
+    frame, see protocols._Proto), and its handlers get `(key - off) // unit`.
 
-    Protocol handlers are the same classes the integer engine drives.  Each
-    processor's slots start at key `t * unit + off` for integer local ticks
-    t, off being its wake's fractional part in keys; handlers get
-    `(key - off) // unit`, and a delivered message's q' comes from the
-    difference of two slot-start keys.
+    Within an instant, wakes come first, then slot-start exchanges
+    (`_on_instant`), then slot closes half a unit after a start
+    (`_slot_close`, where completion sampling and reschedule computations
+    run, after every message that can still reach the slot has arrived).
+    Closes at I are handled after starts at I, so at a start the open slots
+    (`_slots`, one record each) are exactly those that started in
+    [I - 1/2, I]: the slots a new one overlaps by at least half a unit.
+    The exchange is the integer engine's filter path (World._exchange) plus
+    a hearing rule and q': every open slot's messages are built once, before
+    any adoption, and sorted once; a slot that starts now hears every
+    adjacent open slot, an earlier one only the adjacent starters; and each
+    message carries q' = (receiver's slot-start key - sender's) / unit.  A
+    close runs `react` and `tick_end` only: the queue protocol, the one
+    class with later sub-phases, is rejected.
     """
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self._slots: dict[int, tuple] = {}  # open slot: pid -> (key, instant, inbox)
-        for pid, w in enumerate(self.cfg.wake_times, start=1):
-            phi = w - math.floor(w)
-            if phi:
-                proto = self.procs[pid]
-                proto.phi, proto.off = phi, int(phi * self.unit)
 
     def _time_unit(self, cfg):
         if not cfg.fractional:
@@ -102,43 +97,30 @@ class FracWorld(World):
         return 2 * math.lcm(*(w.denominator for w in cfg.wake_times))
 
     # event handlers ----------------------------------------------------------
-    def _wake(self, instant, pid):
-        super()._wake(math.floor(instant), pid)  # a wake's local tick: its integer part
-
     def _on_instant(self, key, instant):
-        """Slot starts: open each slot and exchange with overlapping slots."""
+        """Slot starts: open each slot, then exchange among the open slots."""
         starters = sorted(self._on_map.pop(key))
-        unit, procs = self.unit, self.procs
+        unit, procs, slots = self.unit, self.procs, self._slots
         close = key + unit // 2
         for pid in starters:
-            self._slots[pid] = (key, instant, [])
+            slots[pid] = (key, instant, [])
             heapq.heappush(self._events, (close, 2, pid))
         self.trace.on_sets[instant] = tuple(starters)
-
-        open_slots = sorted(self._slots.items())
-        beacons: dict[int, list] = {}  # pid -> its slot's messages, built on first need
-        deliveries: dict[int, list] = {}
-        for pid in starters:
-            adj = self.adj[pid]
-            for nb, (s_key, _, _) in open_slots:
-                if nb not in adj or (s_key == key and nb < pid):  # both start now: once
-                    continue
-                d = key - s_key  # nb's slot started d keys before pid's
-                qp = Fraction(d, unit) if d else 0
-                for tx, tx_key, rx, rx_qp in ((nb, s_key, pid, qp), (pid, key, nb, -qp)):
-                    out = beacons.get(tx)
-                    if out is None:
-                        proto = procs[tx]
-                        out = beacons[tx] = proto.transmissions((tx_key - proto.off) // unit)
-                    deliveries.setdefault(rx, []).extend(
-                        Message(m.kind, m.sender, m.tau, m.j, m.payload, m.q, rx_qp)
-                        for m in out)
-        for pid in sorted(deliveries):
-            msgs = sorted(deliveries[pid], key=INBOX_ORDER)
-            s_key, _, inbox = self._slots[pid]
-            inbox.extend(msgs)
-            proto = procs[pid]
-            proto.adopt((s_key - proto.off) // unit, msgs)
+        if len(slots) < 2:
+            return  # no self-loops: nobody hears a lone slot
+        sent = [msg for pid, (s_key, _, _) in slots.items()
+                for msg in procs[pid].transmissions((s_key - procs[pid].off) // unit)]
+        sent.sort(key=INBOX_ORDER)
+        for pid in sorted(slots):
+            r_key, _, inbox = slots[pid]
+            hears = self.adj[pid] if r_key == key else self.adj[pid].intersection(starters)
+            msgs = [Message(m.kind, m.sender, m.tau, m.j, m.payload, m.q,
+                            Fraction(d, unit) if (d := r_key - slots[m.sender][0]) else 0)
+                    for m in sent if m.sender in hears]
+            if msgs:
+                inbox.extend(msgs)
+                proto = procs[pid]
+                proto.adopt((r_key - proto.off) // unit, msgs)
 
     def _slot_close(self, close_key, pid):
         key, s, inbox = self._slots.pop(pid)

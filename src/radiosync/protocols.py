@@ -160,10 +160,9 @@ class _Proto:
     with do-nothing handlers so each algorithm overrides only what it uses.
     The owning world is held by weak proxy, so a dropped world is freed.
 
-    Ticks are local (see the module docstring): `phi` is the processor's
-    offset from the integer grid and `off` the same offset in event keys
-    (phi * world.unit); the fractional engine sets both for a wake off the
-    grid.
+    Ticks are local (see the module docstring): `phi` is the fractional
+    part of the processor's wake, its offset from the integer grid, and
+    `off` the same offset in event keys (phi * world.unit).
 
     On a lone tick (its radio the only one on) that ends none of its
     processor's policies, the handlers, on empty inboxes, change no state
@@ -206,8 +205,6 @@ class _Proto:
     world as `world.policy`) and `quiet(procs, t)`.
     """
 
-    phi = 0
-    off = 0
     PHASES = ("react",)  # the handlers run after transmissions (see engine)
     SINGLE_HOP = False
     FRACTIONAL = True
@@ -228,6 +225,9 @@ class _Proto:
         self.trace = world.trace
         self.id = pid
         self.n, self.k = world.n, world.k
+        w = world.cfg.wake_times[pid - 1]
+        self.phi = w - math.floor(w) or 0  # an int 0 on the integer grid
+        self.off = int(self.phi * world.unit)
         if self.RECORDS_EDGES:
             self._unmet = set(world.adj[pid])  # neighbours with no edge contact yet
         self.wake = None

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from radiosync import analysis
 from radiosync.core import SimConfig
 from radiosync.engine import PolicyRecord, SimTrace, run
+from radiosync.fractional import run_fractional
 from radiosync.policy import PolicyString, basic_policy
 
 
@@ -59,9 +60,13 @@ def _discontinuity_oracle(trace, lo, hi):
 _GAPPY = make_trace([rec(1, [1, 0, 1], 2), rec(2, [1, 1], 4), rec(1, [1], 9),
                      rec(2, [1, 0, 0, 1], 12)], horizon=20)
 _SYNC = run(SimConfig(n=8, m=3, wake_times=[0, 3, 6], algorithm="synchronize"))
+# spans start off the integer grid, so the merged intervals have Fraction ends
+_FRAC = run_fractional(SimConfig(n=4, m=2, wake_times=[0, Fraction(1, 2)],
+                                 algorithm="synchronize", fractional=True))
 
 
-@pytest.mark.parametrize("trace", [_GAPPY, _SYNC], ids=["gappy", "synchronize"])
+@pytest.mark.parametrize("trace", [_GAPPY, _SYNC, _FRAC],
+                         ids=["gappy", "synchronize", "fractional"])
 @settings(max_examples=150, deadline=None)
 @given(lo=st.integers(-5, 160), hi=st.integers(-5, 160))
 @example(lo=3, hi=3)  # inside a merged interval

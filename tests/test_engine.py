@@ -1,15 +1,17 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radiosync import protocols
 from radiosync.adversary import build_topology
 from radiosync.core import SimConfig
 from radiosync.engine import Message, World, energy, run
-from radiosync.fractional import FracWorld
+from radiosync.fractional import FracWorld, run_fractional
 from radiosync.policy import PolicyString
 
 ALGORITHMS = list(protocols.PROTOCOLS)
@@ -338,3 +340,37 @@ def test_tau_reconstruction_matches_wake_clock():
     # snapshots are end-of-tick: at its wake tick the late processor has
     # already heard the earlier clock and adopted it
     assert tr.tau_at(2, 4) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALGORITHMS), st.integers(1, 12),
+       st.lists(st.tuples(st.sampled_from([1, 2, 3, 4]), st.integers(0, 48)),
+                min_size=1, max_size=6))
+# wakes 0, 7/2 and 9/4: tau_at read 143, 287/2 and 571/4 at the horizon
+@example("synchronize", 8, [(1, 0), (2, 7), (4, 9)])
+# wakes 0, 1, 1, 1 and 3/2: processor 5 adopts at 167/2, past the horizon 83
+@example("synchronize", 5, [(1, 0), (1, 1), (1, 1), (1, 1), (2, 3)])
+def test_tau_at_horizon_is_the_final_clock(algorithm, n, raw):
+    # the clock at each processor's last tick or slot by the horizon, on
+    # integer wakes and, where the algorithm has a fractional timing, on
+    # rational ones
+    wakes = [Fraction(x % (n * d + 1), d) for d, x in raw]
+    traces = [run(SimConfig(n=n, m=len(wakes), wake_times=[math.floor(w) for w in wakes],
+                            algorithm=algorithm))]
+    if protocols.PROTOCOLS[algorithm].FRACTIONAL:
+        traces.append(run_fractional(SimConfig(n=n, m=len(wakes), wake_times=wakes,
+                                               algorithm=algorithm, fractional=True)))
+    for tr in traces:
+        for pid in range(1, tr.m + 1):
+            events = [(t, q) for t, o, _tau, q in tr.clock_events if o == pid]
+            tau, q = tr.final_clocks[pid]
+            if events[-1][0] <= tr.horizon:
+                assert tr.tau_at(pid, tr.horizon) == tau, (pid, tr.wakes)
+            else:
+                # The fractional engine also runs the slots in (horizon,
+                # horizon + 1), and final_clocks reads the clock an adoption
+                # there left.  At a default horizon the clocks agree by then,
+                # so that adoption can only move the carry between -1/2 and
+                # 1/2: the displayed time tau + q is the same.
+                q_then = [q for t, q in events if t <= tr.horizon][-1]
+                assert tr.tau_at(pid, tr.horizon) + q_then == tau + q, (pid, tr.wakes)

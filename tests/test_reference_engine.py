@@ -1,4 +1,4 @@
-"""The integer engine against a reference engine that visits every tick.
+"""Each engine against a reference engine that visits every tick.
 
 `World.run` pops events from a heap, gives a lone radio-on tick no event
 unless it ends a policy, runs no handler on a tick its protocol class
@@ -11,6 +11,11 @@ every radio on at every radio-on tick, lone radios and quiet ticks
 included, and builds each receiver's inbox from the topology, as a plain
 list.  The two must give the same digest.
 
+`FracWorld` exchanges at each slot start from one sorted list, filtered
+per receiver by which open slots it hears.  Its reference,
+`FracReferenceWorld`, walks every key of the slot grid and pairs slots
+by the overlap of their radio-on intervals instead.
+
 `synchronize` keeps its progress counter J as one int, `t + _jdelta`,
 which a reschedule overwrites at its report tick although the next
 policy may start later.  Both engines, and the fractional one, run it
@@ -19,6 +24,8 @@ history of steps, and asserts that the two agree on every read.
 """
 
 import bisect
+import dataclasses
+import math
 from fractions import Fraction
 from operator import itemgetter
 from unittest.mock import patch
@@ -28,7 +35,7 @@ from hypothesis import example, given, settings, strategies as st
 from radiosync.adversary import build_topology
 from radiosync.core import SimConfig
 from radiosync.engine import World
-from radiosync.fractional import FracWorld
+from radiosync.fractional import FracWorld, overlap_fraction, q_prime, run_fractional
 from radiosync.protocols import INBOX_ORDER, PROTOCOLS, SynchronizeProto
 
 ALGORITHMS = ["synchronize", "dynamic-synch", "naive", "pairwise"]
@@ -125,9 +132,8 @@ class ReferenceWorld(World):
             p.tick_end(t)
 
 
-@st.composite
-def small_configs(draw):
-    algorithm = draw(st.sampled_from(ALGORITHMS))
+def draw_topology(draw, algorithm):
+    """A topology for `algorithm`, multi-hop ones for the baselines."""
     topology = "complete"
     if algorithm in ("naive", "pairwise"):
         topology = draw(st.sampled_from(["complete", "two-clique", "l-connected:1",
@@ -138,10 +144,17 @@ def small_configs(draw):
         m = draw(st.integers(1, 8))
     else:
         m = 2 * draw(st.integers(1, 4))
-    n = draw(st.integers(1, 24))
+    return build_topology(topology, m)
+
+
+@st.composite
+def small_configs(draw):
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    topology = draw_topology(draw, algorithm)
+    m, n = topology.m, draw(st.integers(1, 24))
     return SimConfig(n=n, m=m, wake_times=draw(st.lists(st.integers(0, n), min_size=m,
                                                         max_size=m)),
-                     topology=build_topology(topology, m), algorithm=algorithm,
+                     topology=topology, algorithm=algorithm,
                      k_override=draw(st.none() | st.integers(1, 6)),
                      max_ticks=draw(st.none() | st.integers(0, 8 * n)))
 
@@ -169,6 +182,107 @@ def small_configs(draw):
 def test_run_matches_the_reference_engine(cfg):
     want = ReferenceWorld(cfg).run().digest()
     assert with_step_history(World, cfg).run().digest() == want
+
+
+class FracReferenceWorld(FracWorld):
+    """Every key of the grid, every pair of recent slots probed by overlap.
+
+    It shares `FracWorld`'s set-up, `_schedule`, `_wake`, `_settle` and
+    `_finish`, not its loop, exchange or closes.  At each key it settles,
+    wakes, opens the slots that start there, exchanges, closes the slots
+    that opened half a unit before (`react`, then `tick_end`, by pid) and
+    runs the audit at 2n.  The exchange probes every adjacent pair of slots
+    that started within the last unit, one of them now, by
+    `overlap_fraction` on their global [start, start + 1) intervals, takes
+    q' from `q_prime`, and builds each inbox per receiver.
+    """
+
+    def run(self):
+        unit = self.unit
+        wakes, slots = {}, {}  # slots: pid -> (start key, start instant, inbox), its latest
+        for pid, w in enumerate(self.cfg.wake_times, start=1):
+            wakes.setdefault(self._key(w), []).append(pid)
+        for key in range((self.horizon + 1) * unit):
+            instant = Fraction(key, unit) if key % unit else key // unit
+            self._settle(key // unit)
+            self.tick = instant
+            for pid in wakes.get(key, ()):
+                self._wake(instant, pid)
+            starters = sorted(self._on_map.pop(key, ()))
+            if starters:
+                self.trace.on_sets[instant] = tuple(starters)
+                for pid in starters:
+                    slots[pid] = (key, instant, [])
+                self._exchange_at(key, starters, slots)
+            for pid in sorted(p for p, (s_key, _, _) in slots.items()
+                              if s_key == key - unit // 2):
+                self.tick = slots[pid][1]  # a close runs at its slot's start
+                t = self._local(pid, slots)
+                self.procs[pid].react(t, slots[pid][2])
+                self.procs[pid].tick_end(t)
+            if key == 2 * self.n * unit:
+                self.tick = instant
+                for pid in sorted(self._awake):
+                    self.procs[pid].audit(instant)
+        return self._finish()
+
+    def _local(self, pid, slots):
+        """pid's local tick at the start of its latest slot."""
+        return math.floor(slots[pid][1] - self.procs[pid].phi)
+
+    def _exchange_at(self, key, starters, slots):
+        """Every pair of adjacent slots that overlap by half a unit or more,
+        one of them starting at `key`, hears each other."""
+        def interval(pid):
+            start = slots[pid][1]
+            return (start, start + 1)
+
+        recent = [pid for pid, (s_key, _, _) in slots.items() if s_key > key - self.unit]
+        inboxes = {}
+        for rx in sorted(recent):
+            for tx in sorted(recent):
+                if tx == rx or tx not in self.adj[rx] or (rx not in starters
+                                                          and tx not in starters):
+                    continue
+                overlap = overlap_fraction(interval(rx), interval(tx))
+                if overlap is None:
+                    continue
+                qp = q_prime(overlap, slots[rx][1] > slots[tx][1])
+                inboxes.setdefault(rx, []).extend(
+                    dataclasses.replace(msg, qp=qp)
+                    for msg in self.procs[tx].transmissions(self._local(tx, slots)))
+        for rx in sorted(inboxes):
+            inbox = sorted(inboxes[rx], key=INBOX_ORDER)
+            slots[rx][2].extend(inbox)
+            self.procs[rx].adopt(self._local(rx, slots), inbox)
+
+
+@st.composite
+def fractional_configs(draw):
+    algorithm = draw(st.sampled_from(["synchronize", "naive", "pairwise"]))
+    topology = draw_topology(draw, algorithm)
+    m, n = topology.m, draw(st.integers(1, 16))
+    # rational wakes in [0, n], denominators up to 6
+    wakes = [Fraction(x % (n * d + 1), d)
+             for d, x in draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 10**6)),
+                                       min_size=m, max_size=m))]
+    return SimConfig(n=n, m=m, wake_times=wakes, topology=topology,
+                     algorithm=algorithm, fractional=True,
+                     k_override=draw(st.none() | st.integers(1, 6)),
+                     max_ticks=draw(st.none() | st.integers(0, 4 * n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fractional_configs())
+# fails when the slot that started at 0 hears the other slot that started
+# at 0 again at 1/2: it hears only the slots that start after it
+@example(SimConfig(n=1, m=3, wake_times=[Fraction(0), Fraction(1, 2), Fraction(0)],
+                   algorithm="synchronize", fractional=True))
+# fails when q' is the sender's slot start less the receiver's
+@example(SimConfig(n=1, m=2, wake_times=[Fraction(0), Fraction(1, 2)],
+                   algorithm="synchronize", fractional=True))
+def test_run_fractional_matches_the_reference_engine(cfg):
+    assert run_fractional(cfg).digest() == FracReferenceWorld(cfg).run().digest()
 
 
 @settings(max_examples=150, deadline=None)
