@@ -184,8 +184,6 @@ def _check_rendezvous_group(trace, tick, recs, details, first_basic, cluster_of)
     policy of the phase; cluster_of() maps a record index to the cluster
     holding it, and only pristine groups call it.
     """
-    import math
-
     n, k = trace.n, trace.k
     ok = True
     recs = sorted(recs, key=lambda r: r.owner)
@@ -255,7 +253,7 @@ def _check_rendezvous_group(trace, tick, recs, details, first_basic, cluster_of)
     if env_hi - env_lo + 1 != ell * k * k:
         ok = False
         details.append(f"tick {tick}: main envelope {env_hi - env_lo + 1} != {ell * k * k}")
-    if pristine and cluster is not None:
+    if pristine:
         p, q = cluster.interval
         centre = Fraction(p + q, 2) + 4 * n
         target_lo = centre - Fraction(ell * k * k, 2)

@@ -137,6 +137,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     Returns a new, fully explicit config; raises ConfigError with a
     descriptive message on the first violated invariant.  Idempotent.
     """
+    if not isinstance(cfg, SimConfig):
+        raise ConfigError(f"a config must be a SimConfig, got {cfg!r}")
     for name, optional in (("n", False), ("m", False), ("k_override", True),
                            ("max_ticks", True), ("seed", False)):
         value = getattr(cfg, name)

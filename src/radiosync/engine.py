@@ -51,12 +51,12 @@ runs only when two or more radios are on: a lone radio builds no messages,
 and its handlers run on empty inboxes.  A sub-phase's messages are sorted
 once (protocols.INBOX_ORDER).  On a multi-hop topology each inbox is that
 list cut down to the senders its receiver hears.  On the complete topology
-every radio hears every other, so with SHARED_MIN_RADIOS or more radios on
-the delivery is shared: each inbox is the list less its receiver's own
-block of messages (a protocols.Inbox), and the early-sync winner and the
-edge contacts are read from what the sub-phase found once, not scanned
-per receiver.  The fractional engine takes the filter path at each slot
-start, with its own hearing rule (fractional.FracWorld).
+every radio hears every other, so the delivery is shared: each inbox is
+the list less its receiver's own block of messages (a protocols.Inbox),
+and the early-sync winner is read from the two leading senders the
+sub-phase found once, not scanned per receiver.  The fractional engine
+takes the filter path at each slot start, with its own hearing rule
+(fractional.FracWorld).
 The message log (`SimTrace.messages`) is recorded only on request.
 """
 
@@ -450,11 +450,10 @@ class World:
         or if fewer than two radios are on to send and hear).
 
         Every inbox holds, in INBOX_ORDER, the messages its receiver hears,
-        none of its own.  On the complete topology, with SHARED_MIN_RADIOS
-        or more radios on, each is a protocols.Inbox sharing the
-        sub-phase's `first` and `lead`: one pass over the
-        senders finds each one's block in the sorted list by the lengths of
-        `outs`, with no pass over the messages."""
+        none of its own.  On the complete topology each is a protocols.Inbox
+        sharing the sub-phase's `lead`: one pass over the senders finds each
+        one's block in the sorted list by the lengths of `outs`, with no
+        pass over the messages."""
         sent = [msg for out in outs if out for msg in out] if len(on_sorted) > 1 else ()
         if not sent:
             return {}
@@ -467,18 +466,18 @@ class World:
                     log.extend((pid, msg.kind, msg.payload, receivers) for msg in out)
         # sorted once, stably; filtering keeps that order in every inbox
         sent.sort(key=protocols.INBOX_ORDER)
-        if not self._complete or len(on_sorted) < SHARED_MIN_RADIOS:
+        if not self._complete:
             return {v: [msg for msg in sent if msg.sender in adj[v]] for v in on_sorted}
         # Everyone hears everyone else, and the sort left each sender's
         # messages in one block, in on_sorted order, len(out) long.
         Inbox = protocols.Inbox
-        first, boxes = {}, {}
+        boxes = {}
         best = second = None
         lo = 0
         for v, out in zip(on_sorted, outs):
             box = boxes[v] = Inbox(sent)
             if out:
-                msg = first[v] = sent[lo]
+                msg = sent[lo]
                 hi = lo + len(out)
                 del box[lo:hi]
                 lo = hi
@@ -490,13 +489,7 @@ class World:
         lead = (best, second)
         for box in boxes.values():
             box.lead = lead
-            box.first = first
         return boxes
-
-
-# With fewer radios on, r short filters cost less than the shared delivery's
-# bookkeeping; at four the two are level (BENCH_16.json, "exchange_micro")
-SHARED_MIN_RADIOS = 4
 
 # json.dumps(obj, sort_keys=True) is this encoder's encode(obj)
 _CFG_ENCODER = json.JSONEncoder(sort_keys=True)

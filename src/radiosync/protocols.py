@@ -96,12 +96,12 @@ class Stage2Record:
 class Inbox(list):
     """One receiver's inbox on a shared delivery (engine.World._exchange):
     the sub-phase's sorted messages less the receiver's own.  Every inbox
-    of the sub-phase shares `first` (sender -> its first message) and
-    `lead` (the first messages of the two largest (j, sender) senders, the
-    second None when one sender sent), which stand for all of a sender's
-    messages because they share one (tau, j, q) (see _Proto)."""
+    of the sub-phase shares `lead`: the first messages of the two largest
+    (j, sender) senders, the second None when one sender sent, which stand
+    for all of a sender's messages because they share one (tau, j, q) (see
+    _Proto)."""
 
-    __slots__ = ("lead", "first")
+    __slots__ = ("lead",)
 
 
 def sync_winner(j, pid, inbox):
@@ -190,8 +190,8 @@ class _Proto:
     Every message one processor sends in one sub-phase carries the same
     tau, j and q: handlers build their messages after they adopt, and
     nothing changes a clock between a processor's handler and its next.
-    So on a shared delivery (Inbox) a sender's first message stands for
-    all of them, in `sync_winner` and `edge_contacts`.  A class that calls
+    So on a shared delivery (Inbox) `sync_winner` reads the winner from
+    the senders' first messages alone.  A class that calls
     `edge_contacts` sets RECORDS_EDGES; its processors then hold `_unmet`,
     the neighbours with no edge contact yet, and the end that records a
     pair's contact takes each end out of the other's set (every processor
@@ -248,7 +248,7 @@ class _Proto:
         old_q = self.q_frac
         if q_v or q_prime:
             tau_v, self.q_frac = adopt_fractional(tau_v, q_v, q_prime)
-        else:
+        else:  # the integer engine's carries: skipping the call pays (BENCH_23.json)
             self.q_frac = 0
         self._delta = tau_v - t
         if self._delta != old or self.q_frac != old_q:
@@ -273,20 +273,17 @@ class _Proto:
 
     def edge_contacts(self, t, inbox):
         """Record each new edge to an inbox sender with its clock delta, at
-        the sender's first message; both ends then count the edge as met."""
+        the sender's first message (inboxes are sorted by sender); both ends
+        then count the edge as met."""
         unmet = self._unmet
         if not unmet:
             return
-        if type(inbox) is Inbox:
-            first = inbox.first
-            new = [first[v] for v in sorted(unmet.intersection(first))]
-        else:
-            new = [msg for msg in inbox if msg.sender in unmet]
+        new = [msg for msg in inbox if msg.sender in unmet]
         contacts, procs = self.trace.edge_contacts, self.world.procs
         tau, me, at = self.tau(t), self.id, t + self.phi
         for msg in new:
             other = msg.sender
-            if other in unmet:  # a plain list may hold several of its messages
+            if other in unmet:  # a sender may have sent several messages
                 unmet.discard(other)
                 procs[other]._unmet.discard(me)
                 contacts[(me, other) if me < other else (other, me)] = (at, msg.tau - tau)
@@ -504,7 +501,7 @@ class DynamicProto(_Proto):
         r = t - self.wake + 1
         if 1 <= r <= self.k:
             out.append(self._msg(t, "init", (r,)))
-        if self.pass_tick is not None and t == self.pass_tick:
+        if t == self.pass_tick:
             out.append(self._msg(t, "pass", tuple(x for x in self.q if x != self.id)))
         return out
 
@@ -560,7 +557,7 @@ class DynamicProto(_Proto):
                         if r_u > 1 or (r_u == 1 and msg.sender > self.id):
                             self.winner = False
             self._enqueue_unknown(t, inbox)
-        if self.block is not None and t in self.main_ticks:
+        if t in self.main_ticks:
             if t == self.first_main_tick and not self.led:
                 passed = [msg for msg in inbox if msg.kind == "pass"]
                 if passed:
@@ -598,7 +595,7 @@ class DynamicProto(_Proto):
         return []
 
     def tick_end(self, t):
-        if self.pass_tick is not None and t == self.pass_tick and self.q:
+        if t == self.pass_tick and self.q:
             if self.q[0] == self.id:
                 self.q.pop(0)
             self.dyn_event(t, "dequeue", (self.id,))

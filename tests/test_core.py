@@ -13,6 +13,8 @@ from radiosync.core import (
     validate_config,
 )
 from radiosync.adversary import two_clique
+from radiosync.engine import World, run
+from radiosync.fractional import run_fractional
 
 
 def test_compute_k_examples():
@@ -132,6 +134,14 @@ def test_wake_times_and_topology_types(field, value):
     cfg = SimConfig(**{"n": 4, "m": 2, "algorithm": "naive", field: value})
     with pytest.raises(ConfigError, match=f"{field} must be"):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("entry", [validate_config, run, run_fractional, World])
+@pytest.mark.parametrize("cfg", [None, {"n": 3, "m": 2}, "synchronize", 5])
+def test_a_config_must_be_a_simconfig(entry, cfg):
+    # each once raised AttributeError: ... has no attribute 'n'
+    with pytest.raises(ConfigError, match="must be a SimConfig"):
+        entry(cfg)
 
 
 def test_unknown_algorithm_rejected():

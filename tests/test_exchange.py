@@ -1,9 +1,9 @@
 """The shared delivery on the complete topology must leave every trace as it is.
 
-On the complete topology, with `SHARED_MIN_RADIOS` or more radios on,
-`World._exchange` builds each receiver's inbox from one sorted list of the
-sub-phase's messages, and finds the early-sync winner and the edge
-contacts once per sub-phase (see the engine module docstring).  Each run
+On the complete topology `World._exchange` builds each receiver's inbox
+from one sorted list of the sub-phase's messages, and finds the two
+leading senders for the early-sync winner once per sub-phase (see the
+engine module docstring).  Each run
 here is compared with a reference run that filters every inbox per
 receiver into a plain list, as multi-hop topologies do, records edge
 contacts by scanning each inbox against the pairs already recorded,
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from radiosync.adversary import build_topology
 from radiosync.core import SimConfig
-from radiosync.engine import SHARED_MIN_RADIOS, World
+from radiosync.engine import World
 from radiosync.protocols import INBOX_ORDER, Inbox, Message, sync_winner
 
 ALGORITHMS = ["synchronize", "dynamic-synch", "naive", "pairwise"]
@@ -69,20 +69,12 @@ class FilterWorld(World):
 
 class CheckedWorld(World):
     """The engine as it is, checking on every shared inbox that the winner
-    `sync_winner` takes from `lead` is the one the scan finds, and that
-    `first` holds each other sender's first message."""
+    `sync_winner` takes from `lead` is the one the scan finds."""
 
     def _exchange(self, t, on_sorted, outs):
         boxes = super()._exchange(t, on_sorted, outs)
-        if len(on_sorted) < SHARED_MIN_RADIOS:
-            assert all(type(box) is list for box in boxes.values())
-            return boxes
         for v, box in boxes.items():
             assert type(box) is Inbox
-            firsts = {}
-            for msg in box:
-                firsts.setdefault(msg.sender, msg)
-            assert firsts == {u: msg for u, msg in box.first.items() if u != v}
             if box:  # at the receiver's progress, and at one every sender beats
                 for j in (self.procs[v].j(t), min(msg.j for msg in box) - 1):
                     assert sync_winner(j, v, box) is scan_winner(j, v, list(box)), (t, v, j)
@@ -129,10 +121,11 @@ def test_only_the_complete_topology_shares_a_delivery():
     assert all(type(box) is Inbox for box in boxes.values())
     assert [msg.sender for msg in boxes[2]] == [1, 4, 5]
     assert boxes[2].lead == (boxes[1][2], boxes[1][1])
-    assert set(boxes[2].first) == set(on)
-    # too few radios on to share
-    boxes = complete._exchange(3, on[:SHARED_MIN_RADIOS - 1], _outs(on[:SHARED_MIN_RADIOS - 1]))
-    assert all(type(box) is list for box in boxes.values())
+    # two and three radios on share too
+    for r in (2, 3):
+        boxes = complete._exchange(3, on[:r], _outs(on[:r]))
+        assert all(type(box) is Inbox for box in boxes.values())
+        assert [msg.sender for msg in boxes[1]] == on[1:r]
     cfg = SimConfig(n=8, m=6, algorithm="naive", topology=build_topology("two-clique", 6))
     boxes = World(cfg)._exchange(3, on, _outs(on))
     assert all(type(box) is list for box in boxes.values())

@@ -48,8 +48,7 @@ def test_early_sync_winner_is_first_maximum():
 
 def _shared_inboxes(on, beacons):
     """The inboxes of one shared sub-phase on the complete topology: the
-    radios `on` (at least SHARED_MIN_RADIOS) send the (sender, tau, j)
-    `beacons`."""
+    radios `on` send the (sender, tau, j) `beacons`."""
     world = World(SimConfig(n=8, m=max(on), algorithm="naive"))
     outs = [[_beacon(*b) for b in beacons if b[0] == pid] for pid in on]
     return world._exchange(0, on, outs)
@@ -68,8 +67,15 @@ def _shared_inboxes(on, beacons):
     # the best other sender does not beat the receiver's own pair
     ([1, 2, 3, 4], [(1, 8, 2), (2, 9, 3), (4, 1, 6)], 4, 6, None),
     ([1, 2, 3, 4], [(1, 8, 2), (2, 9, 3), (4, 1, 6)], 3, 7, None),
+    # two radios on: the receiver sent lead[0], and the other sender is lead[1]
+    ([1, 2], [(1, 30, 5), (2, 40, 9)], 2, 4, 1),
+    ([1, 2], [(1, 30, 5), (2, 40, 9)], 1, 4, 2),
+    # three radios on, two senders: the receiver sent lead[0], the other is heard
+    ([1, 2, 3], [(1, 40, 9), (3, 30, 5)], 1, 4, 3),
+    ([1, 2, 3], [(1, 40, 9), (3, 30, 5)], 2, 9, None),
 ], ids=["receiver-best", "receiver-best-tie", "one-sender-heard", "one-sender-itself", "tie-on-j",
-        "tie-on-j-receiver-larger", "no-beat-receiver-best", "no-beat"])
+        "tie-on-j-receiver-larger", "no-beat-receiver-best", "no-beat", "two-radios-receiver-best",
+        "two-radios-other-best", "three-radios-receiver-best", "three-radios-no-beat"])
 def test_early_sync_on_a_shared_inbox(on, beacons, receiver, j, winner):
     box = _shared_inboxes(on, beacons)[receiver]
     assert type(box) is Inbox

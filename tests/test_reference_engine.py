@@ -16,6 +16,9 @@ per receiver by which open slots it hears.  Its reference,
 `FracReferenceWorld`, walks every key of the slot grid and pairs slots
 by the overlap of their radio-on intervals instead.
 
+The engine tallies `sync_complete_tick` as clocks change; a replay of
+the trace's clock log alone must find the same tick.
+
 `synchronize` keeps its progress counter J as one int, `t + _jdelta`,
 which a reschedule overwrites at its report tick although the next
 policy may start later.  Both engines, and the fractional one, run it
@@ -182,6 +185,33 @@ def small_configs(draw):
 def test_run_matches_the_reference_engine(cfg):
     want = ReferenceWorld(cfg).run().digest()
     assert with_step_history(World, cfg).run().digest() == want
+
+
+def sync_tick_from_clock_log(trace):
+    """`sync_complete_tick` rebuilt from `trace.clock_events` alone: the
+    first tick from which, at the end of every tick to the horizon, all m
+    processors are awake (have logged a clock) and hold one global delta
+    tau + q - t; None if the horizon's tick ends unsynchronized."""
+    by_tick = {}
+    for t, owner, tau, q in trace.clock_events:
+        by_tick.setdefault(t, {})[owner] = tau + q - t
+    deltas, last_unequal, synced = {}, -1, False
+    for t in sorted(by_tick):
+        if not synced:  # the ticks before t ended as the last event left them
+            last_unequal = t - 1
+        deltas.update(by_tick[t])
+        synced = len(deltas) == trace.m and len(set(deltas.values())) == 1
+    return last_unequal + 1 if synced else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_configs())
+# fails when the tally ignores which processors are awake: processor 1 is
+# alone, so on one clock, for five ticks before processor 2 wakes
+@example(SimConfig(n=6, m=2, wake_times=[0, 5], algorithm="naive"))
+def test_sync_complete_tick_matches_the_clock_log(cfg):
+    trace = World(cfg).run()
+    assert trace.sync_complete_tick == sync_tick_from_clock_log(trace)
 
 
 class FracReferenceWorld(FracWorld):
