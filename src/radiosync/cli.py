@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import adversary, analysis
 from .core import ConfigError, SimConfig, Topology
@@ -172,6 +172,21 @@ def _report(trace, checks, fractional, cl) -> dict:
     return out
 
 
+_EDGE = "\n        [\n          %d,\n          %d\n        ]"  # json's indent=2 text of one edge
+_HOLE = '"edges": "\\u0000"'  # that of the placeholder, "\x00"
+
+
+def _dump_report(report) -> str:
+    """json.dumps(report, sort_keys=True, indent=2) + "\n", byte for byte, built once per run.
+    json's indent encoder is pure Python, so the edge list (the only "edges" key) goes in by one
+    "%d" template join, in place of a placeholder put in copies (trace.cfg is not written)."""
+    cfg, edges = report["config"], report["config"]["topology"]["edges"]
+    blob = json.dumps({**report, "config": {**cfg, "topology": {**cfg["topology"], "edges": "\x00"}}},
+                      sort_keys=True, indent=2)
+    block = "[" + ",".join([_EDGE] * len(edges)) % tuple(chain.from_iterable(edges)) + "\n      ]"
+    return blob.replace(_HOLE, f'"edges": {block if edges else "[]"}') + "\n"
+
+
 _ROWS_PER_WRITE = 256  # rows joined into one write; bounds the buffer
 
 
@@ -232,7 +247,7 @@ def cmd_run(args) -> int:
     cl = analysis.clusters(trace)  # shared by the checkers and the report
     checks = _run_checks(trace, wanted, cl)
     report = _report(trace, checks, cfg.fractional, cl)
-    blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    blob = _dump_report(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(blob)

@@ -8,6 +8,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
+from operator import lt
 
 
 class ConfigError(ValueError):
@@ -37,7 +39,8 @@ def compute_k(n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class Topology:
-    """Simple undirected graph on processors 1..m (edges as sorted pairs)."""
+    """Simple undirected graph on processors 1..m (edges as sorted pairs, kept as a
+    frozenset).  `_edges_ok` checks them in C, so a complete one costs no Python per edge."""
 
     m: int
     edges: frozenset[tuple[int, int]]
@@ -45,8 +48,15 @@ class Topology:
 
     def __post_init__(self):
         check_int("m", self.m)
+        if self.m < 1:
+            raise ConfigError(f"m must be >= 1, got {self.m}")
+        if not isinstance(self.kind, str):
+            raise ConfigError(f"kind must be a str, got {self.kind!r}")
         if not isinstance(self.edges, (set, frozenset)):
             raise ConfigError(f"edges must be a set of (u, v) pairs, got {self.edges!r}")
+        object.__setattr__(self, "edges", frozenset(self.edges))  # not the caller's set, which may grow
+        if _edges_ok(self.edges, self.m):
+            return
         for e in self.edges:
             # int endpoints, not bools: the config echo would write True as true
             if not (isinstance(e, tuple) and len(e) == 2 and all(type(x) is int for x in e)
@@ -54,6 +64,9 @@ class Topology:
                 raise ConfigError(f"bad edge {e!r} for m={self.m}")
 
     def adjacency(self) -> dict[int, frozenset[int]]:
+        if self.is_complete:  # m(m-1)/2 distinct pairs u < v: every pair
+            everyone = frozenset(range(1, self.m + 1))
+            return {i: everyone - {i} for i in range(1, self.m + 1)}
         adj: dict[int, set[int]] = {i: set() for i in range(1, self.m + 1)}
         for a, b in self.edges:
             adj[a].add(b)
@@ -65,10 +78,19 @@ class Topology:
         return len(self.edges) == self.m * (self.m - 1) // 2
 
 
+def _edges_ok(edges, m) -> bool:
+    """Whether every edge is a tuple of ints 1 <= u < v <= m, by C passes, each on types the
+    last one passed.  If not, the per-edge loop names the bad edge (or takes a tuple subclass)."""
+    if {*map(type, edges)} != {tuple} or {*map(len, edges)} != {2}:
+        return False
+    us, vs = zip(*edges)
+    return ({*map(type, us + vs)} == {int} and min(us) >= 1 and max(vs) <= m
+            and all(map(lt, us, vs)))
+
+
 def complete_topology(m: int) -> Topology:
     check_int("m", m)
-    edges = frozenset((u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1))
-    return Topology(m=m, edges=edges, kind="complete")
+    return Topology(m=m, edges=frozenset(combinations(range(1, m + 1), 2)), kind="complete")
 
 
 @dataclass(frozen=True)

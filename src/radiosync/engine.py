@@ -67,6 +67,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps' str escape
 
 from .core import ConfigError, SimConfig, validate_config
@@ -491,8 +492,8 @@ class World:
             box.lead = lead
         return boxes
 
-# json.dumps(obj, sort_keys=True) is this encoder's encode(obj)
-_CFG_ENCODER = json.JSONEncoder(sort_keys=True)
+# json.dumps(obj, sort_keys=True) is this encoder's encode(obj); the echo has no cycles
+_CFG_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def _meta_json(meta):
@@ -504,6 +505,11 @@ def _meta_json(meta):
 
 
 def _cfg_echo(cfg, k, horizon):
+    """The config as the trace records it, built once per run.  Its edges are the
+    sorted [u, v] pairs; combinations() yields a complete topology's in that order."""
+    topo = cfg.topology
+    edges = (list(map(list, combinations(range(1, topo.m + 1), 2))) if topo.is_complete
+             else sorted(list(e) for e in topo.edges))
     return {
         "n": cfg.n,
         "m": cfg.m,
@@ -514,11 +520,7 @@ def _cfg_echo(cfg, k, horizon):
         "fractional": cfg.fractional,
         "horizon": str(horizon),
         "wake_times": [str(w) for w in cfg.wake_times],
-        "topology": {
-            "kind": cfg.topology.kind,
-            "m": cfg.topology.m,
-            "edges": sorted(list(e) for e in cfg.topology.edges),
-        },
+        "topology": {"kind": topo.kind, "m": topo.m, "edges": edges},
     }
 
 

@@ -191,6 +191,38 @@ def test_output_bytes_are_stable(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+# cli._dump_report splices the config's edge list into json's indent=2
+# text; the report must keep json.dumps' bytes for every topology shape
+@pytest.mark.parametrize("args", [
+    ["--m", "1"],  # an empty edge list
+    ["--m", "2"],
+    ["--m", "64", "--algorithm", "dynamic", "--check", "sync,dynamic,budget"],
+    ["--m", "8", "--topology", "two-clique", "--algorithm", "naive"],
+    ["--m", "8", "--topology", "unit-disk", "--algorithm", "naive"],
+    ["--m", "3", "--fractional", "--wake", "explicit:WAKES"],
+], ids=["complete-m1", "complete-m2", "complete-m64", "two-clique", "unit-disk",
+        "fractional"])
+def test_report_bytes_match_json_dumps(tmp_path, capsys, monkeypatch, args):
+    wakes = tmp_path / "wakes.txt"
+    wakes.write_text("0\n5/2\n4\n")
+    reports = []
+
+    def recorded(trace, *rest, _orig=cli._report):
+        reports.append((trace, _orig(trace, *rest)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(cli, "_report", recorded)
+    out = tmp_path / "r.json"
+    args = [a.replace("WAKES", str(wakes)) for a in args]
+    code, _, _ = run_cli(["run", "--n", "16", *args, "--out", str(out)], capsys)
+    assert code == 0
+    (trace, report), = reports
+    assert out.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # the placeholder went into copies, not into the trace's own config
+    assert report["config"] is trace.cfg
+    assert isinstance(trace.cfg["topology"]["edges"], list)
+
+
 def test_explicit_wake_file(tmp_path, capsys):
     wakes = tmp_path / "wakes.txt"
     wakes.write_text("0\n3\n7\n")

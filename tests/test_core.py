@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from radiosync.core import (
     WAKE_GENERATORS,
@@ -190,14 +190,79 @@ def test_malformed_edges_rejected(edge):
         Topology(m=2, edges=frozenset({edge}))
 
 
-@pytest.mark.parametrize("m, edges, match", [
+@pytest.mark.parametrize("m, edges, kind, match", [
     # each once raised TypeError, or (m=True) built a graph
-    ("2", frozenset({(1, 2)}), "m must be an int"),
-    (True, frozenset(), "m must be an int"),
-    (2.0, frozenset(), "m must be an int"),
-    (2, None, "edges must be a set"),
-    (2, 5, "edges must be a set"),
+    pytest.param("2", frozenset({(1, 2)}), "edge-list", "m must be an int",
+                 id="2-edges0-m must be an int"),
+    pytest.param(True, frozenset(), "edge-list", "m must be an int",
+                 id="True-edges1-m must be an int"),
+    pytest.param(2.0, frozenset(), "edge-list", "m must be an int",
+                 id="2.0-edges2-m must be an int"),
+    pytest.param(2, None, "edge-list", "edges must be a set", id="2-None-edges must be a set"),
+    pytest.param(2, 5, "edge-list", "edges must be a set", id="2-5-edges must be a set"),
+    # each once built a Topology: validate_config's m check stopped the
+    # first two later, and the trace echoed the third's "kind": 5
+    pytest.param(-1, frozenset(), "edge-list", "m must be >= 1", id="m-negative"),
+    pytest.param(0, frozenset(), "edge-list", "m must be >= 1", id="m-zero"),
+    pytest.param(2, frozenset({(1, 2)}), 5, "kind must be a str", id="kind-int"),
 ])
-def test_malformed_topology_rejected(m, edges, match):
+def test_malformed_topology_rejected(m, edges, kind, match):
     with pytest.raises(ConfigError, match=match):
+        Topology(m=m, edges=edges, kind=kind)
+
+
+class Pair(tuple):
+    """A tuple subclass: the per-edge rule takes it, the C-level passes do not."""
+
+
+def _edge_ok(e, m):
+    """The per-edge rule, written out: a tuple of two int endpoints (not
+    bools), 1 <= u < v <= m."""
+    return (isinstance(e, tuple) and len(e) == 2 and all(type(x) is int for x in e)
+            and 1 <= e[0] < e[1] <= m)
+
+
+def assert_checked_by_the_rule(m, edges):
+    """Topology raises ConfigError exactly when the rule rejects an edge, and
+    names an edge it rejects."""
+    bad = [e for e in edges if not _edge_ok(e, m)]
+    if not bad:
+        assert Topology(m=m, edges=edges).edges == edges
+        return
+    with pytest.raises(ConfigError, match="bad edge") as err:
         Topology(m=m, edges=edges)
+    assert str(err.value) in {f"bad edge {e!r} for m={m}" for e in bad}
+
+
+EDGE_JUNK = [(1.0, 2), (1, 2.0), (True, 2), (2, True), "12", 12, (2,), (1, 2, 3), (1, "2"),
+             (None, 1), 1.5, ()]
+
+
+@st.composite
+def edge_sets(draw):
+    """(m, edges): good edges and junk mixed, from none up to every pair."""
+    m = draw(st.integers(1, 7))
+    ends = st.integers(-1, m + 1)
+    good = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+    junk = st.tuples(ends, ends) | st.tuples(ends, ends).map(Pair) | st.sampled_from(EDGE_JUNK)
+    edges = draw(st.frozensets(junk, max_size=3))
+    if good:  # most pairs, so that many sets pass the C-level passes
+        edges |= frozenset(good) - draw(st.frozensets(st.sampled_from(good)))
+    return m, edges
+
+
+@settings(max_examples=400)
+@given(edge_sets())
+def test_edge_check_matches_the_per_edge_rule(m_edges):
+    assert_checked_by_the_rule(*m_edges)
+
+
+# every pair of processors 1..5, alone and with one entry on processor 6
+# that one C-level pass, or only the per-edge rule, must judge
+@pytest.mark.parametrize("extra", [None, (0, 6), (1, 9), (6, 2), (6, 6), (True, 6), (1.0, 6),
+                                   (1, 6.0), (1, "6"), (1, 2, 6), (6,), 16, "16", Pair((1, 6)),
+                                   Pair((2, 9))])
+@pytest.mark.parametrize("m", [6, 8])
+def test_edge_check_one_odd_entry(m, extra):
+    edges = complete_topology(5).edges
+    assert_checked_by_the_rule(m, edges if extra is None else edges | {extra})

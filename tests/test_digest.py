@@ -18,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radiosync.adversary import build_topology
-from radiosync.core import SimConfig
-from radiosync.engine import PolicyRecord, Stage2Record, run
+from radiosync.core import SimConfig, Topology, validate_config
+from radiosync.engine import PolicyRecord, Stage2Record, _cfg_echo, run
 from radiosync.fractional import run_fractional
 from radiosync.policy import PolicyString
 from radiosync.protocols import PROTOCOLS
@@ -158,3 +158,29 @@ def test_every_field_filled_by_hand():
     assert {rec["phase"] is None for rec in view["policies"]} == {True, False}
     assert {rec["clamped"] for rec in view["stage2"]} == {True, False}
     assert_written_as_reference(trace)
+
+
+# the complete topology's echo is built from combinations() without a sort;
+# every topology must echo the sorted [u, v] pairs of its edges
+@pytest.mark.parametrize("spec, m", [("complete", 1), ("complete", 2), ("complete", 9),
+                                     ("two-clique", 8), ("l-connected:1", 14),
+                                     ("unit-disk", 8)])
+def test_cfg_echo_edges_are_the_sorted_pairs(spec, m):
+    topology = build_topology(spec, m)
+    cfg = validate_config(SimConfig(n=8, m=m, topology=topology, algorithm="naive"))
+    edges = _cfg_echo(cfg, 3, 8)["topology"]["edges"]
+    assert edges == sorted(list(e) for e in topology.edges)
+    assert {type(x) for e in edges for x in e} <= {int}
+
+
+# a Topology keeps a frozen copy of the set it is given: an edge added to that
+# set afterwards would make is_complete true, and adjacency() and the echo
+# those of the complete graph
+def test_topology_edges_frozen_at_construction():
+    given_edges = {(1, 2), (1, 3)}
+    topology = Topology(m=3, edges=given_edges)
+    given_edges.add((2, 9))
+    cfg = validate_config(SimConfig(n=8, m=3, topology=topology, algorithm="naive"))
+    assert topology.adjacency() == {1: {2, 3}, 2: {1}, 3: {1}}
+    assert _cfg_echo(cfg, 3, 8)["topology"]["edges"] == [[1, 2], [1, 3]]
+    assert run(cfg).cfg["topology"]["edges"] == [[1, 2], [1, 3]]
