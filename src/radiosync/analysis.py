@@ -177,9 +177,11 @@ def _check_rendezvous_group(trace, tick, recs, details, first_basic, cluster_of)
     additionally satisfy the full recentring geometry: the group equals the
     member set of one performed cluster [p, q], meets at exactly p + 2n
     having learnt length q - p, and the successors cover every integer tick
-    of [4n + (p+q)/2 - ell*k^2/2, 4n + (p+q)/2 + ell*k^2/2].  Groups that
-    reschedule already-merged heavy clusters lose leading on-ticks (a radio
-    cannot switch on in the past) and are checked for arithmetic only.
+    of [4n + (p+q)/2 - ell*k^2/2, 4n + (p+q)/2 + ell*k^2/2].  The others are
+    checked for arithmetic only, and their one detail line names each cause:
+    clipped, policy fully past, clamped by an inherited J (above the policy
+    span k^2 + k - 1) or by its own long policy (a span of 2n or more),
+    phase-skewed, or no performed cluster matching the group.
     first_basic maps (owner, phase) to the index of that owner's first basic
     policy of the phase; cluster_of() maps a record index to the cluster
     holding it, and only pristine groups call it.
@@ -198,26 +200,32 @@ def _check_rendezvous_group(trace, tick, recs, details, first_basic, cluster_of)
     len_c = recs[0].len_c
     ell = recs[0].ell
 
-    phases = {r.phase for r in recs}
-    pristine = len(phases) == 1 and not any(r.clamped for r in recs)
+    causes = set()  # why the group is degenerate: it is pristine when there is none
+    for r in recs:
+        i = first_basic.get((r.owner, r.phase))
+        own = None if i is None else trace.policies[i]  # the policy its J was sampled on
+        lost = own is not None and own.effective_from > own.nominal_start  # on-ticks lost
+        if lost:
+            causes.add("policy fully past" if own.fully_past else "clipped")
+        if r.clamped and not (lost and own.fully_past):  # its J at completion reached 2n
+            causes.add("clamped by an inherited J" if r.frozen_j > k * k + k - 1
+                       else "clamped by its own long policy")
+    if len({r.phase for r in recs}) != 1:
+        causes.add("phase-skewed")
     phase = recs[0].phase
     cluster = None
-    if pristine:
+    if not causes:
         # the cluster actually containing this group's policies, over the
         # full policy pool: a neighbour's clipped policy can share the
         # interval without ever sharing an on-tick, leaving it unsynced
         target = first_basic.get((ids[0], phase))
         cluster = None if target is None else cluster_of().get(target)
-        if cluster is None:
-            pristine = False
-        else:
-            crecs = [trace.policies[i] for i in cluster.records]
-            if (cluster.members != set(ids)
-                    or any(r.kind != "basic" or r.phase != phase for r in crecs)
-                    or any(r.active_start != r.nominal_start for r in crecs)):
-                pristine = False
-                cluster = None
-    if pristine:
+        crecs = [] if cluster is None else [trace.policies[i] for i in cluster.records]
+        if (cluster is None or cluster.members != set(ids)
+                or any(r.kind != "basic" or r.phase != phase for r in crecs)
+                or any(r.active_start != r.nominal_start for r in crecs)):
+            causes.add("no matching cluster")
+    if not causes:
         p, q = cluster.interval
         if tick != p + 2 * n:
             ok = False
@@ -226,8 +234,8 @@ def _check_rendezvous_group(trace, tick, recs, details, first_basic, cluster_of)
             ok = False
             details.append(f"tick {tick}: learned length {len_c} != span {q - p}")
     else:
-        details.append(f"tick {tick}: group {ids} degenerate (clipped, clamped or"
-                       " phase-skewed); arithmetic checks only")
+        details.append(f"tick {tick}: group {ids} degenerate ({', '.join(sorted(causes))});"
+                       " arithmetic checks only")
 
     base = tick + 2 * n + (len_c - ell * k * k) // 2
     starts = {}
@@ -253,7 +261,7 @@ def _check_rendezvous_group(trace, tick, recs, details, first_basic, cluster_of)
     if env_hi - env_lo + 1 != ell * k * k:
         ok = False
         details.append(f"tick {tick}: main envelope {env_hi - env_lo + 1} != {ell * k * k}")
-    if pristine:
+    if not causes:
         p, q = cluster.interval
         centre = Fraction(p + q, 2) + 4 * n
         target_lo = centre - Fraction(ell * k * k, 2)

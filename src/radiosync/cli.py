@@ -200,16 +200,16 @@ def _write_trace_csv(trace, path):
     clock i reads t + delta_i with delta_i = tau - event tick fixed, and
     the deltas take few distinct values (one, once the clocks agree).  So
     the rows are built from columns: one column of strings per distinct
-    delta, the radio-on ids and a blank column for a processor not yet
-    awake, zipped and joined row by row in C.
+    delta, the radio-on ids (one text per distinct on-set) and a blank
+    column for a processor not yet awake, zipped and joined row by row in C.
 
     The bytes are those of csv.writer's excel dialect: comma-separated,
     "\\r\\n" after every row, no quoting, which none of these fields (ints,
     blanks, space-separated ids) needs.  A segment goes out in chunks of
     at most _ROWS_PER_WRITE rows, one write each, so the buffer stays
     bounded however long the segment is."""
-    m, stop, events = trace.m, trace.horizon + 1, trace.clock_events
-    on = {t: " ".join(map(str, ids)) for t, ids in trace.on_sets.items()}
+    m, stop, events, on = trace.m, trace.horizon + 1, trace.clock_events, trace.on_sets
+    texts = {s: " ".join(map(str, s)) for s in set(on.values())}  # per distinct on-set
     cuts = [e[0] for e in events if 0 < e[0] < stop]
     deltas = [None] * m  # processor i at index i - 1
     blank = repeat("")
@@ -226,7 +226,7 @@ def _write_trace_csv(trace, path):
             for lo in range(t, end, _ROWS_PER_WRITE):  # empty when events share a tick
                 ticks = range(lo, min(end, lo + _ROWS_PER_WRITE))
                 cols = {d: list(map(str, range(lo + d, ticks.stop + d))) for d in distinct}
-                rows = map(",".join, zip(map(str, ticks), map(on.get, ticks, blank),
+                rows = map(",".join, zip(map(str, ticks), map(texts.get, map(on.get, ticks), blank),
                                          *[blank if d is None else cols[d] for d in deltas]))
                 fh.write("\r\n".join(rows) + "\r\n")
 

@@ -257,9 +257,9 @@ class World:
         self.adj = cfg.topology.adjacency()
         self._complete = cfg.topology.is_complete  # so _exchange shares one delivery
         self.tick = 0
-        # the policy each processor lays down (protocols._Proto.policy), one
-        # object shared by every processor's records
-        self.policy = cls.policy(self.n, self.k)
+        # the policies its processors lay down, by kind (protocols._Proto.policies),
+        # one object per kind shared by every processor's records
+        self.policies = cls.policies(self.n, self.k)
 
         self.trace = SimTrace(
             cfg=_cfg_echo(cfg, self.k, self.horizon),

@@ -7,6 +7,7 @@ what makes the cluster/continuity analysis well defined.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 
 
 @dataclass(frozen=True)
@@ -16,16 +17,17 @@ class PolicyString:
     bits[j] == 1 means the radio is on j ticks after the start.  The string
     is split into an initial part (the first `initial_len` positions) and a
     main part (the rest); the split drives the covering-weight bookkeeping.
-    The on positions and the bit string are computed once per object.
+    The on positions, the bit string and the mask are computed once per
+    object, each in one C-level pass over the bits.
     """
 
     bits: tuple[int, ...]
     initial_len: int
 
     def __post_init__(self):
-        # int bits only: a float or bool equal to 0 or 1 would be written
-        # into the trace as its own text ("1.0", "True")
-        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
+        # int bits only, checked before any is hashed: a float or bool equal
+        # to 0 or 1 would be written into the trace as its own text ("1.0")
+        if not ({*map(type, self.bits)} <= {int} and {*self.bits} <= {0, 1}):
             raise ValueError("policy bits must be the ints 0 or 1")
         if not 0 <= self.initial_len <= len(self.bits):
             raise ValueError("initial_len out of range")
@@ -35,19 +37,16 @@ class PolicyString:
 
     @cached_property
     def one_positions(self) -> tuple[int, ...]:
-        return tuple(j for j, b in enumerate(self.bits) if b)
+        return tuple(compress(count(), self.bits))
 
-    @property
+    @cached_property
     def mask(self) -> int:
         """Bit j of the mask set iff bits[j] == 1 (fast overlap tests)."""
-        m = 0
-        for j in self.one_positions:
-            m |= 1 << j
-        return m
+        return int(self._string[::-1] or "0", 2)
 
     @cached_property
     def _string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(bytes.maketrans(b"\0\1", b"01")).decode()
 
     def as_string(self) -> str:
         return self._string
@@ -61,11 +60,7 @@ def basic_policy(k: int) -> PolicyString:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    s = [0] * (k * k + k)
-    for i in range(k):
-        s[i] = 1
-        s[(i + 2) * k - 1] = 1
-    return PolicyString(bits=tuple(s), initial_len=k)
+    return PolicyString((1,) * k + ((0,) * (k - 1) + (1,)) * k, k)
 
 
 def naive_policy(n: int) -> PolicyString:

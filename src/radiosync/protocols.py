@@ -47,8 +47,6 @@ from .policy import PolicyString, basic_policy, naive_policy
 HALF = Fraction(1, 2)
 # the order of every inbox: by sender, then kind, then payload
 INBOX_ORDER = attrgetter("sender", "kind", "payload")
-# the one-tick policy of a reschedule's report exchange
-STAGE2_POLICY = PolicyString((1,), 1)
 _DELTA = attrgetter("_delta")
 _UNMET = attrgetter("_unmet")
 
@@ -60,10 +58,10 @@ def ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
-    """A delivered message.  Every message piggybacks the sender's (tau, j),
-    both ints.
+    """A delivered message, slotted as a run builds thousands.  Every message
+    piggybacks the sender's (tau, j), both ints; its payload is a tuple.
 
     q is the sender's sub-unit clock offset and qp the receiver-specific
     slot-start difference; both stay the integer 0 on the integer engine.
@@ -201,8 +199,8 @@ class _Proto:
     `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
     completion guarantee), `budget(n, k)` (the energy bound per processor),
     SINGLE_HOP, FRACTIONAL and the STRUCTURAL_CHECKS that describe its traces,
-    `policy(n, k)` (the policy its processors lay down, built once per
-    world as `world.policy`) and `quiet(procs, t)`.
+    `policies(n, k)` (its processors' policies by record kind, built once
+    per world as `world.policies`, one object per kind) and `quiet(procs, t)`.
     """
 
     PHASES = ("react",)  # the handlers run after transmissions (see engine)
@@ -211,10 +209,6 @@ class _Proto:
     RECORDS_EDGES = False
     STRUCTURAL_CHECKS = ()
     schedule_k = staticmethod(compute_k)
-
-    @staticmethod
-    def policy(n, k):
-        return basic_policy(k)
 
     @staticmethod
     def quiet(procs, t):
@@ -317,8 +311,7 @@ class _Proto:
         return msg
 
     def _msg(self, t, kind, payload=()):
-        return Message(kind=kind, sender=self.id, tau=self.tau(t), j=self.j(t),
-                       payload=tuple(payload), q=self.q_frac)
+        return Message(kind, self.id, t + self._delta, self.j(t), payload, self.q_frac)
 
 
 class SynchronizeProto(_Proto):
@@ -342,6 +335,10 @@ class SynchronizeProto(_Proto):
     @staticmethod
     def budget(n, k):
         return (2 * k + 1) * (ceil_log2(n) + 1)
+
+    @staticmethod
+    def policies(n, k):  # stage2: the one tick of a reschedule's report exchange
+        return {"basic": basic_policy(k), "stage2": PolicyString((1,), 1)}
 
     @staticmethod
     def quiet(procs, t):
@@ -372,8 +369,8 @@ class SynchronizeProto(_Proto):
         self.stage2_clamped = False
         self.frozen_j = None
         self._jdelta = -t  # j(t) = t + jdelta: the ticks since the current policy started
-        self.schedule("basic", self.world.policy, nominal_start=t, phase=1)
-        self.cur_end = t + len(self.world.policy) - 1  # last tick of the current policy
+        self.schedule("basic", self.world.policies["basic"], nominal_start=t, phase=1)
+        self.cur_end = t + len(self.world.policies["basic"]) - 1  # the current policy's last tick
 
     def transmissions(self, t):
         out = [self._msg(t, "sync")]
@@ -408,9 +405,10 @@ class SynchronizeProto(_Proto):
             clamped=self.stage2_clamped,
         ))
         self.stage2_tick = None
-        self.schedule("basic", self.world.policy, nominal_start=gstart, phase=self.exec_no)
+        self.schedule("basic", self.world.policies["basic"], nominal_start=gstart,
+                      phase=self.exec_no)
         self._jdelta = -gstart  # read next on the new policy's ticks (module docstring)
-        self.cur_end = gstart + len(self.world.policy) - 1
+        self.cur_end = gstart + len(self.world.policies["basic"]) - 1
         if self.cur_end < t + 1:
             # fully past (radio-on from t + 1 only), so no adoption: J at
             # completion is the span
@@ -429,7 +427,7 @@ class SynchronizeProto(_Proto):
         natural = self.cur_end + 2 * self.n - self.frozen_j
         self.stage2_tick = max(natural, t + 1)
         self.stage2_clamped = self.stage2_tick != natural or fully_past
-        self.schedule("stage2", STAGE2_POLICY, nominal_start=self.stage2_tick,
+        self.schedule("stage2", self.world.policies["stage2"], nominal_start=self.stage2_tick,
                       phase=self.exec_no)
         self.cur_end = None
 
@@ -463,6 +461,12 @@ class DynamicProto(_Proto):
         return 4 * k + 2
 
     @staticmethod
+    def policies(n, k):  # the block: main rounds at 0, k, ..., k^2 - k, the hand-off at k^2
+        return {"dyn-initial": PolicyString((1,) * k, k),
+                "dyn-block": PolicyString(((1,) + (0,) * (k - 1)) * k + (1,), 1),
+                "dyn-step5": basic_policy(k)}
+
+    @staticmethod
     def quiet(procs, t):
         """One clock, and t is none of the radios' initial rounds, main
         ticks or pass tick.  On any other tick the handlers only adopt,
@@ -491,9 +495,9 @@ class DynamicProto(_Proto):
         self.pass_tick = None
         self.first_main_tick = None
         self.main_ticks = set()
-        k = self.k
-        self.schedule("dyn-initial", PolicyString((1,) * k, k), nominal_start=t)
-        self.schedule("dyn-step5", self.world.policy, nominal_start=t + 2 * self.n)
+        policies = self.world.policies
+        self.schedule("dyn-initial", policies["dyn-initial"], nominal_start=t)
+        self.schedule("dyn-step5", policies["dyn-step5"], nominal_start=t + 2 * self.n)
 
     # -- message emission ----------------------------------------------------
     def transmissions(self, t):
@@ -535,19 +539,14 @@ class DynamicProto(_Proto):
         self.first_main_tick = origin + k
         self.pass_tick = origin + k * k + k
         self.main_ticks = {origin + j * k for j in range(1, k + 1)}
-        bits = [0] * (k * k + 1)
-        for j in range(1, k + 1):
-            bits[j * k - k] = 1  # offsets 0, k, ..., k^2-k: the k main rounds
-        bits[k * k] = 1  # the queue hand-off tick
         self.block = self.schedule(
-            "dyn-block", PolicyString(tuple(bits), 1), nominal_start=self.first_main_tick,
+            "dyn-block", self.world.policies["dyn-block"], nominal_start=self.first_main_tick,
             meta={"origin": origin, "slot": ell})
 
     def react(self, t, inbox):
         if t == self.pass_tick and not (self.q and self.q[0] == self.id):
             self.flag(f"pass-without-head p{self.id} t{t}")
         self.adopt(t, inbox)
-        out = []
         r = t - self.wake + 1
         if 1 <= r <= self.k:
             if r == 1:
@@ -567,10 +566,9 @@ class DynamicProto(_Proto):
                 else:
                     self.flag(f"missing-pass p{self.id} t{t}")
             self._enqueue_unknown(t, inbox)
-            main_r = r  # rounds since wake; responses carry progress r - next
-            for pos, dest in enumerate(self.q, start=1):
-                out.append(self._msg(t, "resp", (dest, pos, main_r - self.next_round)))
-        return out
+            # r counts rounds since wake; responses carry progress r - next
+            return self._responses(t, r - self.next_round)
+        return []
 
     def react2(self, t, inbox):
         self.adopt(t, inbox)
@@ -582,10 +580,15 @@ class DynamicProto(_Proto):
                 self.led = True
                 self.dyn_event(t, "lead", tuple(self.q))
                 self.dyn_event(t, "own", tuple(self.q))
-                for pos, dest in enumerate(self.q, start=1):
-                    out.append(self._msg(t, "resp", (dest, pos, 0)))
+                out = self._responses(t, 0)
                 self._dynamic_flattening(t, 0, 0)
         return out
+
+    def _responses(self, t, progress):
+        """A resp (member, its position, progress) to each queue member, as `_msg` builds one."""
+        tau, j, q, me = t + self._delta, self.j(t), self.q_frac, self.id
+        return [Message("resp", me, tau, j, (dest, pos, progress), q)
+                for pos, dest in enumerate(self.q, start=1)]
 
     def absorb(self, t, inbox):
         self.adopt(t, inbox)
@@ -625,8 +628,8 @@ class NaiveProto(_Proto):
         return n + 1
 
     @staticmethod
-    def policy(n, k):
-        return naive_policy(n)
+    def policies(n, k):
+        return {"naive": naive_policy(n)}
 
     @staticmethod
     def quiet(procs, t):
@@ -634,7 +637,7 @@ class NaiveProto(_Proto):
         return _one_clock(procs) and _all_met(procs)
 
     def on_wake(self, t):
-        self.schedule("naive", self.world.policy, nominal_start=t)
+        self.schedule("naive", self.world.policies["naive"], nominal_start=t)
 
     def transmissions(self, t):
         return [self._msg(t, "sync")]
@@ -665,12 +668,16 @@ class PairwiseProto(_Proto):
         return 2 * k  # the k-basic policy's on-ticks
 
     @staticmethod
+    def policies(n, k):
+        return {"pairwise": basic_policy(k)}
+
+    @staticmethod
     def quiet(procs, t):
         """No edge contact left to record among procs (it never adopts)."""
         return _all_met(procs)
 
     def on_wake(self, t):
-        self.schedule("pairwise", self.world.policy, nominal_start=t)
+        self.schedule("pairwise", self.world.policies["pairwise"], nominal_start=t)
 
     def transmissions(self, t):
         return [self._msg(t, "sync")]

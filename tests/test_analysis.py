@@ -288,6 +288,45 @@ def test_check_flatten_uses_first_basic_policy_of_a_phase():
     assert (after.passed, after.details) == (before.passed, before.details)
 
 
+def _phase_policy(tr, r):
+    """The basic policy whose completion a report record's J was sampled on."""
+    return next(p for p in tr.policies
+                if p.kind == "basic" and (p.owner, p.phase) == (r.owner, r.phase))
+
+
+# each cause on the smallest run found to show it, with the fact behind it;
+# every cause is checked in a passing run, on one detail line of its group
+@pytest.mark.parametrize("cfg, tick, cause, fact", [
+    (dict(n=3, m=2, wake_times=[0, 0]), 39, "clipped",
+     lambda tr, g: any(not _phase_policy(tr, r).fully_past
+                       and _phase_policy(tr, r).active_start > _phase_policy(tr, r).nominal_start
+                       for r in g)),
+    (dict(n=2, m=3, wake_times=[0, 0, 1]), 13, "clamped by an inherited J",
+     lambda tr, g: any(r.clamped and r.frozen_j > tr.k ** 2 + tr.k - 1 for r in g)),
+    (dict(n=4, m=1, wake_times=[0]), 42, "clamped by its own long policy",
+     lambda tr, g: any(r.clamped and 2 * tr.n <= r.frozen_j <= tr.k ** 2 + tr.k - 1
+                       for r in g)),
+    (dict(n=16, m=16, wake_times="seeded-random"), 37, "policy fully past",
+     lambda tr, g: any(_phase_policy(tr, r).fully_past for r in g)),
+    (dict(n=9, m=3, wake_times=[0, 8, 0]), 185, "phase-skewed",
+     lambda tr, g: len({r.phase for r in g}) > 1),
+    (dict(n=16, m=8, wake_times="seeded-random"), 32, "no matching cluster",
+     lambda tr, g: not any(r.clamped for r in g) and len({r.phase for r in g}) == 1),
+], ids=lambda v: v.replace(" ", "-") if isinstance(v, str) else None)
+def test_check_flatten_names_each_cause(cfg, tick, cause, fact):
+    tr = run(SimConfig(algorithm="synchronize", **cfg))
+    report = analysis.check_flatten(tr)
+    assert report.passed
+    group = [r for r in tr.stage2 if r.tick == tick]
+    assert group and fact(tr, group)
+    lines = [d for d in report.details if d.startswith(f"tick {tick}:")]
+    assert len(lines) == 1 and "degenerate" in lines[0], lines
+    named = lines[0].split("degenerate (")[1].split(")")[0].split(", ")
+    assert cause in named
+    if cause == "no matching cluster":  # named only when no other cause applies
+        assert named == [cause]
+
+
 def test_dynamic_checker_examples():
     tr = run(SimConfig(n=64, m=8, wake_times="uniform-spread",
                        algorithm="dynamic-synch"))

@@ -59,6 +59,39 @@ def test_policy_bits_must_be_int_zero_or_one(bits):
         PolicyString(bits, 0)
 
 
+class _IntSubclass(int):
+    pass
+
+
+# entries the per-bit rule refuses: bools, floats, other ints, an int
+# subclass, strings and unhashable values
+_ODD = st.one_of(st.booleans(), st.floats(), st.integers(-3, 3).filter(lambda b: b not in (0, 1)),
+                 st.sampled_from([_IntSubclass(0), _IntSubclass(1), "1", None, [1], {0}, {1: 1}]))
+
+
+@given(st.lists(st.sampled_from([0, 1]), max_size=40),
+       st.lists(st.tuples(st.integers(0, 40), _ODD), max_size=2))
+def test_bit_check_matches_the_per_bit_rule(bits, odd):
+    for at, entry in odd:
+        bits.insert(at, entry)
+    if all(type(b) is int and b in (0, 1) for b in bits):
+        PolicyString(tuple(bits), 0)
+    else:
+        with pytest.raises(ValueError):
+            PolicyString(tuple(bits), 0)
+
+
+@given(st.lists(st.sampled_from([0, 1]), max_size=300))
+def test_derived_fields_match_their_per_bit_definitions(bits):
+    p = PolicyString(tuple(bits), 0)
+    assert p.one_positions == tuple(j for j, b in enumerate(bits) if b)
+    assert p.as_string() == "".join(str(b) for b in bits)
+    mask = 0
+    for j, b in enumerate(bits):
+        mask |= b << j
+    assert p.mask == mask
+
+
 def test_on_ticks():
     assert on_ticks(basic_policy(2), 10) == {10, 11, 13, 15}
     assert on_ticks(PolicyString(bits=(0, 0, 0), initial_len=0), 0) == set()

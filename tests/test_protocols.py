@@ -1,12 +1,14 @@
+import dataclasses
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
 from radiosync.core import SimConfig, ceil_log2
 from radiosync.engine import World, energy, run
-from radiosync.protocols import (PROTOCOLS, Inbox, Message, ceil_sqrt, dynamic_next,
-                                 flatten_next, sync_winner)
+from radiosync.protocols import (PROTOCOLS, DynamicProto, Inbox, Message, ceil_sqrt,
+                                 dynamic_next, flatten_next, sync_winner)
 
 
 # --- pure operations -------------------------------------------------------
@@ -255,6 +257,62 @@ def test_dynamic_extra_policy_runs_at_two_n():
     assert len(step5) == 4
     for r in step5:
         assert r.nominal_start == wakes[r.owner] + 2 * n
+
+
+class _OneByOne(DynamicProto):
+    """Builds every message by keyword, one at a time, each resp through _msg."""
+
+    def _msg(self, t, kind, payload=()):
+        return Message(kind=kind, sender=self.id, tau=self.tau(t), j=self.j(t),
+                       payload=tuple(payload), q=self.q_frac)
+
+    def _responses(self, t, progress):
+        return [self._msg(t, "resp", (dest, pos, progress))
+                for pos, dest in enumerate(self.q, start=1)]
+
+
+def _messages_built(cls, cfg):
+    """A dynamic-synch run with cls as its protocol: its trace, and every
+    message its handlers built, field by field, in the order sent."""
+    built = []
+    exchange = World._exchange
+
+    def recording(world, t, on_sorted, outs):
+        built.extend((t, pid, dataclasses.astuple(msg))
+                     for pid, out in zip(on_sorted, outs) for msg in out)
+        return exchange(world, t, on_sorted, outs)
+
+    with patch.dict(PROTOCOLS, {"dynamic-synch": cls}), patch.object(World, "_exchange", recording):
+        return World(cfg, record_messages=True).run(), built
+
+
+@pytest.mark.parametrize("n, m, wakes, seed", [
+    (64, 8, "uniform-spread", 0), (256, 16, "seeded-random", 3), (16, 4, [0, 0, 5, 16], 0),
+])
+def test_batched_responses_match_one_by_one(n, m, wakes, seed):
+    cfg = SimConfig(n=n, m=m, wake_times=wakes, seed=seed, algorithm="dynamic-synch")
+    trace, built = _messages_built(DynamicProto, cfg)
+    reference, reference_built = _messages_built(_OneByOne, cfg)
+    assert any(fields[0] == "resp" for _t, _pid, fields in built)
+    assert built == reference_built
+    assert trace.messages == reference.messages
+    assert trace.digest() == reference.digest()
+
+
+@pytest.mark.parametrize("algorithm, kinds", [
+    ("dynamic-synch", ("dyn-initial", "dyn-block", "dyn-step5")),
+    ("synchronize", ("basic", "stage2")), ("naive", ("naive",)), ("pairwise", ("pairwise",)),
+])
+def test_each_kind_shares_one_policy_per_world(algorithm, kinds):
+    cfg = SimConfig(n=64, m=8, wake_times="seeded-random", algorithm=algorithm)
+    one, other = World(cfg), World(cfg)
+    trace = one.run()
+    for kind in kinds:
+        held = [r.policy for r in trace.policies if r.kind == kind]
+        assert len(held) >= cfg.m
+        assert all(p is one.policies[kind] for p in held)
+        assert other.policies[kind] == one.policies[kind]
+        assert other.policies[kind] is not one.policies[kind]
 
 
 def test_dynamic_energy_bound():
