@@ -32,10 +32,6 @@ class Cluster:
     cwet: int
     cden: Fraction
 
-    @property
-    def length(self):
-        return self.interval[1] - self.interval[0] + 1
-
 
 @dataclass(frozen=True)
 class IntervalStats:
@@ -67,11 +63,10 @@ def _performed(trace):
 
 
 def _record_length(rec) -> int:
-    """Length of the performed part: first to last active on-tick."""
+    """Length of the performed part: first to last active on-tick (a
+    performed record has one: _schedule lays no policy ending on a 0)."""
     ones = rec.policy.one_positions
     first = bisect.bisect_left(ones, rec.effective_from - rec.nominal_start)
-    if first == len(ones):
-        return 0
     return ones[-1] - ones[first] + 1
 
 

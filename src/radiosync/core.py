@@ -31,6 +31,8 @@ def compute_k(n: int, m: int) -> int:
 
     Smallest positive integer k with k*k*m >= 8*n; no floating point.
     """
+    check_int("n", n)
+    check_int("m", m)
     if n < 1 or m < 1:
         raise ConfigError("n and m must be >= 1")
     a = -(-8 * n // m)  # ceil(8n/m); ceil-sqrt of a rational equals that of its ceiling

@@ -154,13 +154,19 @@ def dynamic_next(k: int, candidate: bool, winner: bool, ell: int, dif: int) -> i
 
 
 class _Proto:
-    """One processor: its clock, its progress counter and its trace hooks,
-    with do-nothing handlers so each algorithm overrides only what it uses.
-    The owning world is held by weak proxy, so a dropped world is freed.
+    """One processor: its clock, its progress counter, scheduling, adoption
+    and message building, which every algorithm shares.  The owning world is
+    held by weak proxy, so a dropped world is freed.
 
     Ticks are local (see the module docstring): `phi` is the fractional
     part of the processor's wake, its offset from the integer grid, and
     `off` the same offset in event keys (phi * world.unit).
+
+    The handlers are each class's own (the module docstring names them,
+    engine.World runs them).  `transmissions(t)` builds sub-phase A's
+    messages and must not change state: the engine skips it when no radio
+    can hear them (a lone radio on).  `tick_end` and `audit` do nothing
+    here.
 
     On a lone tick (its radio the only one on) that ends none of its
     processor's policies, the handlers, on empty inboxes, change no state
@@ -180,7 +186,7 @@ class _Proto:
     `sync_winner` picks a sender with the receiver's own (j, tau), so
     `set_clock` writes the clock the receiver holds (the integer engine's
     carries are 0) and logs no clock event, and the progress counter it
-    adopts is the one the receiver holds.  The base class is never quiet.
+    adopts is the one the receiver holds.  Every class states its `quiet`.
     `dynamic-synch` is quiet on one clock outside its initial rounds, main
     ticks and pass ticks: there its handlers, like `synchronize`'s between
     report ticks and policy ends, only adopt.
@@ -189,11 +195,7 @@ class _Proto:
     tau, j and q: handlers build their messages after they adopt, and
     nothing changes a clock between a processor's handler and its next.
     So on a shared delivery (Inbox) `sync_winner` reads the winner from
-    the senders' first messages alone.  A class that calls
-    `edge_contacts` sets RECORDS_EDGES; its processors then hold `_unmet`,
-    the neighbours with no edge contact yet, and the end that records a
-    pair's contact takes each end out of the other's set (every processor
-    of a world has the one class, so the other's set exists).
+    the senders' first messages alone.
 
     Each algorithm's class states its own facts, read through PROTOCOLS:
     `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
@@ -206,13 +208,8 @@ class _Proto:
     PHASES = ("react",)  # the handlers run after transmissions (see engine)
     SINGLE_HOP = False
     FRACTIONAL = True
-    RECORDS_EDGES = False
     STRUCTURAL_CHECKS = ()
     schedule_k = staticmethod(compute_k)
-
-    @staticmethod
-    def quiet(procs, t):
-        return False
 
     def __init__(self, world, pid):
         self.world = weakref.proxy(world)
@@ -222,8 +219,6 @@ class _Proto:
         w = world.cfg.wake_times[pid - 1]
         self.phi = w - math.floor(w) or 0  # an int 0 on the integer grid
         self.off = int(self.phi * world.unit)
-        if self.RECORDS_EDGES:
-            self._unmet = set(world.adj[pid])  # neighbours with no edge contact yet
         self.wake = None
         self._delta = None  # tau(t) = t + delta, t local
         self.q_frac = 0
@@ -257,42 +252,6 @@ class _Proto:
         returned record is in global time."""
         return self.world._schedule(self.id, kind, policy, nominal_start,
                                     phase, meta or {})
-
-    # trace hooks ------------------------------------------------------------
-    def dyn_event(self, t, kind, payload=()):
-        self.trace.dyn_events.append((t, kind, self.id, tuple(payload)))
-
-    def flag(self, text):
-        self.trace.flags.append(text)
-
-    def edge_contacts(self, t, inbox):
-        """Record each new edge to an inbox sender with its clock delta, at
-        the sender's first message (inboxes are sorted by sender); both ends
-        then count the edge as met."""
-        unmet = self._unmet
-        if not unmet:
-            return
-        new = [msg for msg in inbox if msg.sender in unmet]
-        contacts, procs = self.trace.edge_contacts, self.world.procs
-        tau, me, at = self.tau(t), self.id, t + self.phi
-        for msg in new:
-            other = msg.sender
-            if other in unmet:  # a sender may have sent several messages
-                unmet.discard(other)
-                procs[other]._unmet.discard(me)
-                contacts[(me, other) if me < other else (other, me)] = (at, msg.tau - tau)
-
-    # handlers ---------------------------------------------------------------
-    def on_wake(self, t):
-        raise NotImplementedError
-
-    def transmissions(self, t):
-        """Sub-phase A's messages.  It must not change state: the engine
-        skips it when no radio can hear them (a lone radio on)."""
-        return []
-
-    def react(self, t, inbox):
-        return []
 
     def tick_end(self, t):
         pass
@@ -499,6 +458,13 @@ class DynamicProto(_Proto):
         self.schedule("dyn-initial", policies["dyn-initial"], nominal_start=t)
         self.schedule("dyn-step5", policies["dyn-step5"], nominal_start=t + 2 * self.n)
 
+    # -- trace hooks -----------------------------------------------------------
+    def dyn_event(self, t, kind, payload=()):
+        self.trace.dyn_events.append((t, kind, self.id, tuple(payload)))
+
+    def flag(self, text):
+        self.trace.flags.append(text)
+
     # -- message emission ----------------------------------------------------
     def transmissions(self, t):
         out = [self._msg(t, "sync")]
@@ -611,9 +577,11 @@ class DynamicProto(_Proto):
 
 
 class NaiveProto(_Proto):
-    """Always-on baseline: n+1 consecutive on-ticks, early-sync adoption."""
-
-    RECORDS_EDGES = True
+    """Always-on baseline: n+1 consecutive on-ticks, early-sync adoption.
+    Each edge records its first contact tick and clock delta: `_unmet`
+    holds a processor's neighbours with no contact yet, and the end that
+    records a pair's contact takes each end out of the other's set (every
+    processor of a world has the one class, so the other's set exists)."""
 
     @staticmethod
     def schedule_k(n, m):
@@ -636,8 +604,13 @@ class NaiveProto(_Proto):
         """One clock, and no edge contact left to record among procs."""
         return _one_clock(procs) and _all_met(procs)
 
+    def __init__(self, world, pid):
+        super().__init__(world, pid)
+        self._unmet = set(world.adj[pid])  # neighbours with no edge contact yet
+
     def on_wake(self, t):
-        self.schedule("naive", self.world.policies["naive"], nominal_start=t)
+        (kind, policy), = self.world.policies.items()  # the class's one policy
+        self.schedule(kind, policy, nominal_start=t)
 
     def transmissions(self, t):
         return [self._msg(t, "sync")]
@@ -647,13 +620,28 @@ class NaiveProto(_Proto):
         self.adopt(t, inbox)
         return []
 
+    def edge_contacts(self, t, inbox):
+        """Record each new edge to an inbox sender with its clock delta, at
+        the sender's first message (inboxes are sorted by sender); both ends
+        then count the edge as met."""
+        unmet = self._unmet
+        if not unmet:
+            return
+        new = [msg for msg in inbox if msg.sender in unmet]
+        contacts, procs = self.trace.edge_contacts, self.world.procs
+        tau, me, at = self.tau(t), self.id, t + self.phi
+        for msg in new:
+            other = msg.sender
+            if other in unmet:  # a sender may have sent several messages
+                unmet.discard(other)
+                procs[other]._unmet.discard(me)
+                contacts[(me, other) if me < other else (other, me)] = (at, msg.tau - tau)
 
-class PairwiseProto(_Proto):
-    """Neighbour-difference learning: one ceil(sqrt(n))-basic policy per
-    processor; each edge records its first overlap tick and clock delta.
-    Clocks are never adjusted."""
 
-    RECORDS_EDGES = True
+class PairwiseProto(NaiveProto):
+    """Neighbour-difference learning: naive's handlers on one
+    ceil(sqrt(n))-basic policy per processor; each edge records its first
+    overlap tick and clock delta.  Clocks are never adjusted."""
 
     @staticmethod
     def schedule_k(n, m):
@@ -675,16 +663,6 @@ class PairwiseProto(_Proto):
     def quiet(procs, t):
         """No edge contact left to record among procs (it never adopts)."""
         return _all_met(procs)
-
-    def on_wake(self, t):
-        self.schedule("pairwise", self.world.policies["pairwise"], nominal_start=t)
-
-    def transmissions(self, t):
-        return [self._msg(t, "sync")]
-
-    def react(self, t, inbox):
-        self.edge_contacts(t, inbox)
-        return []
 
     def adopt(self, t, inbox):
         pass

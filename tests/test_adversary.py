@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -31,7 +32,9 @@ def test_complete_topology_edge_count():
 
 @pytest.mark.parametrize("spec, m", [("two-clique", None), ("l-connected:1", None),
                                      ("unit-disk", None), ("complete", None),
-                                     ("two-clique", "4"), (5, 4), (None, 4)])
+                                     ("two-clique", "4"), (5, 4), (None, 4),
+                                     # l_connected's odd m and ell = 0
+                                     ("l-connected:1", 15), ("l-connected:0", 16)])
 def test_malformed_topology_specs_raise_config_error(spec, m):
     with pytest.raises(ConfigError):
         adversary.build_topology(spec, m)
@@ -130,6 +133,15 @@ def test_pairwise_composed_search():
     schedules = [(1, 1)] * 4
     w = adversary.search_non_overlap(schedules, 20)
     assert w is not None and w.certified
+
+
+@pytest.mark.parametrize("count", [3, 4], ids=["exhaustive", "pairwise"])
+def test_search_finds_no_witness_where_none_exists(count):
+    # three on-ticks each and offsets in [0, 2]: every two schedules overlap
+    assert adversary.search_non_overlap([(1, 1, 1)] * count, 2) is None
+    for offsets in product(range(3), repeat=count):
+        assert any(on_ticks_from_bits((1, 1, 1), a) & on_ticks_from_bits((1, 1, 1), b)
+                   for a, b in combinations(offsets, 2))
 
 
 @pytest.mark.parametrize("schedules, n", [

@@ -409,6 +409,16 @@ def pristine_group():
     return tr, group
 
 
+def test_a_report_is_true_exactly_when_it_passed():
+    # a dataclass without __bool__ is always true, a failing report too
+    tr, group = pristine_group()
+    passing = analysis.check_flatten(tr)
+    for i in group:
+        tr.stage2[i] = dataclasses.replace(tr.stage2[i], len_c=tr.stage2[i].len_c + 2)
+    failing = analysis.check_flatten(tr)
+    assert (bool(passing), bool(failing)) == (passing.passed, failing.passed) == (True, False)
+
+
 @pytest.mark.parametrize("how, detail", [
     ("len_c", "tick 714: learned length 76 != span 74"),
     ("tick", "tick 715: cluster start 586 + 2n = 714"),

@@ -96,6 +96,15 @@ def test_bad_n_exits_two(capsys):
     assert "n must be >= 1" in err
 
 
+@pytest.mark.parametrize("n, m", [("", "2"), ("8", ",")])
+def test_sweep_without_n_or_m_exits_two(tmp_path, capsys, n, m):
+    code, _, err = run_cli(["sweep", "--n", n, "--m", m,
+                            "--out", str(tmp_path / "sweep.csv")], capsys)
+    assert code == 2
+    assert "sweep needs at least one n and one m" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_unknown_check_exits_two(capsys):
     code, _, err = run_cli(["run", "--n", "4", "--m", "2", "--check", "nonsense"],
                            capsys)

@@ -30,6 +30,13 @@ def test_compute_k_rejects_zero():
         compute_k(1, 0)
 
 
+@pytest.mark.parametrize("n, m, name", [("a", 2, "n"), (2.0, 2, "n"), (4, True, "m")])
+def test_compute_k_rejects_non_ints(n, m, name):
+    # each once raised TypeError, or (m=True) returned 6
+    with pytest.raises(ConfigError, match=f"{name} must be an int"):
+        compute_k(n, m)
+
+
 def test_compute_k_tightness_exhaustive():
     # k is the least integer with k^2 >= 8n/m, exhaustively over n <= 10^4
     # (vectorized: pure-python pairs would take minutes)
@@ -95,6 +102,17 @@ def test_single_hop_algorithms_need_complete_graph():
 def test_wake_count_must_match_m():
     with pytest.raises(ConfigError, match="wake"):
         validate_config(SimConfig(n=4, m=3, wake_times=[0, 1]))
+
+
+@pytest.mark.parametrize("cfg, match", [
+    (SimConfig(n=4, m=2, wake_times=[0, 1], topology=complete_topology(3), algorithm="naive"),
+     "topology has 3 vertices, config has m=2"),
+    (SimConfig(n=4, m=2, wake_times="uniform-spread", fractional=True),
+     "fractional mode requires explicit wake times"),
+], ids=["topology-m", "fractional-generator"])
+def test_config_parts_must_agree(cfg, match):
+    with pytest.raises(ConfigError, match=match):
+        validate_config(cfg)
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", None, 0.1, True])

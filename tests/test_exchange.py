@@ -7,7 +7,7 @@ engine module docstring).  Each run
 here is compared with a reference run that filters every inbox per
 receiver into a plain list, as multi-hop topologies do, records edge
 contacts by scanning each inbox against the pairs already recorded,
-without `_Proto._unmet`, and runs every handler of every radio-on tick it
+without `NaiveProto._unmet`, and runs every handler of every radio-on tick it
 visits, quiet ones included.  The run under test also checks each shared
 inbox's early-sync winner against a scan of its messages.
 """

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from radiosync.core import SimConfig, ceil_log2
 from radiosync.engine import World, energy, run
-from radiosync.protocols import (PROTOCOLS, DynamicProto, Inbox, Message, ceil_sqrt,
-                                 dynamic_next, flatten_next, sync_winner)
+from radiosync.protocols import (PROTOCOLS, DynamicProto, Inbox, Message, NaiveProto,
+                                 ceil_sqrt, dynamic_next, flatten_next, sync_winner)
 
 
 # --- pure operations -------------------------------------------------------
@@ -464,7 +464,7 @@ def _quiet_procs(algorithm):
         p._jdelta = 3  # j, where the class keeps its own
         p.stage2_tick = p.cur_end = None
         p.pass_tick, p.main_ticks = None, set()
-        if p.RECORDS_EDGES:
+        if isinstance(p, NaiveProto):  # pairwise is one
             p._unmet = set()
     return world, list(world.procs.values())
 
