@@ -30,8 +30,13 @@ record, and no radio at a tick where its handlers act whatever the clocks
 show (`synchronize`'s report ticks and policy ends, `dynamic-synch`'s
 discovery rounds, main ticks and queue hand-off).  This engine writes a
 quiet tick's on-set and runs none of its handlers.  The energy of the tick
-is already counted, since `_schedule` counts it.  The fractional engine
-runs every handler.
+is already counted, since `_schedule` counts it.  Where a class's verdict
+reads processor state alone, never the tick (`QUIET_BY_STATE`: `naive`
+and `pairwise`), the verdict holds until a handler runs: the engine keeps
+the last quiet tick's radio set and sorted ids, forgets them at a busy
+tick, a wake or the 2n audit, and gives a tick with the same radios on the
+kept ids as its on-set, with no sort and no `quiet` call.  The fractional
+engine runs every handler.
 
 One tick is one communication round.  Within a radio-on tick, delivery
 runs in sub-phases so that request/response exchanges happen inside a
@@ -64,6 +69,7 @@ import hashlib
 import heapq
 import json
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -240,9 +246,12 @@ class World:
     with one radio on that ends none of its owner's policies has no event
     and no `_on_map` entry: it is already in `trace.on_sets`.  A visited
     tick that its protocol class calls quiet (`_quiet`) has its on-set
-    written and no handler run.  `trace.energy_counts` is counted by
-    `_schedule` alone.  The fractional engine overrides only `_time_unit`,
-    `_on_instant` and `_slot_close`.
+    written and no handler run; with the class's QUIET_BY_STATE, a visited
+    tick whose radio set (`_quiet_on`) is the last quiet tick's, with no
+    busy tick, wake or audit since, is quiet too, and its on-set is that
+    tick's id tuple (`_quiet_ids`).  `trace.energy_counts` is counted by
+    `_schedule` alone, once per policy record.  The fractional engine
+    overrides only `_time_unit`, `_on_instant` and `_slot_close`.
     """
 
     def __init__(self, cfg: SimConfig, record_messages: bool = False):
@@ -277,6 +286,10 @@ class World:
         self.procs = {i: cls(self, i) for i in range(1, self.m + 1)}
         self._phases = [getattr(cls, name) for name in cls.PHASES]
         self._quiet = cls.quiet
+        # the last quiet tick's radio set and sorted ids, while no handler
+        # runs, where the class's verdict reads no tick (QUIET_BY_STATE)
+        self._quiet_repeats = cls.QUIET_BY_STATE
+        self._quiet_on = self._quiet_ids = None
         self._skip_lone = self.unit == 1
         self._awake: set[int] = set()
         self._in_wake_hook = False
@@ -322,27 +335,32 @@ class World:
         end = (self.horizon + 1) * unit
         lone = self.trace.on_sets if self._skip_lone else None
         alone = (owner,)
-        energy_counts = self.trace.energy_counts
-        for pos in policy.one_positions:
+        # ones[i0:i1] are the on positions at keys in [lo, end)
+        ones = policy.one_positions
+        i0 = bisect_left(ones, -((base - lo) // unit))  # ceil((lo - base) / unit)
+        i1 = bisect_left(ones, -((base - end) // unit))
+        held = 0  # of those, the ones whose key the owner already holds
+        for pos in ones[i0:i1]:
             g = base + pos * unit
-            if lo <= g < end:
-                on = on_map.get(g)
-                if on is not None:
-                    if owner in on:
+            on = on_map.get(g)
+            if on is not None:
+                if owner in on:
+                    held += 1
+                    continue
+                on.add(owner)
+            elif lone is None:  # first radio-on slot at g
+                on_map[g] = {owner}
+                heapq.heappush(events, (g, 1, 0))
+            else:
+                first = lone.setdefault(g, alone)
+                if first is not alone:  # g is already a lone tick
+                    if first == alone:  # the owner's own
+                        held += 1
                         continue
-                    on.add(owner)
-                elif lone is None:  # first radio-on slot at g
-                    on_map[g] = {owner}
-                    heapq.heappush(events, (g, 1, 0))
-                else:
-                    first = lone.setdefault(g, alone)
-                    if first is not alone:  # g is already a lone tick
-                        if first == alone:  # the owner's own
-                            continue
-                        self._promote(g)  # a second radio: g needs its event
-                        on_map[g].add(owner)
-                energy_counts[owner] += 1  # the owner's first hold on g
-        # g is now the policy's last tick, where protocols change state
+                    self._promote(g)  # a second radio: g needs its event
+                    on_map[g].add(owner)
+        self.trace.energy_counts[owner] += i1 - i0 - held  # the owner's first holds
+        g = base + ones[-1] * unit  # the policy's last tick, where protocols change state
         if lone is not None and g >= lo and lone.get(g) == alone:
             self._promote(g)
         return rec
@@ -372,6 +390,7 @@ class World:
     def _wake(self, instant, pid):
         """Wake pid at `instant`: its local tick is the instant's integer part."""
         t, proto = math.floor(instant), self.procs[pid]
+        self._quiet_on = None  # on_wake runs
         proto.wake = t
         self._awake.add(pid)
         self._in_wake_hook = True
@@ -424,17 +443,25 @@ class World:
             elif kind == 1:
                 self._on_instant(key, instant)
             else:
+                self._quiet_on = None  # the audit runs
                 for pid in sorted(self._awake):
                     self.procs[pid].audit(instant)
 
     def _on_instant(self, key, t):
         """Radio-on tick: transmissions, then each sub-phase on what the one
         before it sent, then the end of the tick; on a quiet tick, none."""
-        on_sorted = sorted(self._on_map.pop(key))
-        self.trace.on_sets[t] = tuple(on_sorted)
+        on = self._on_map.pop(key)
+        if on == self._quiet_on:  # the last quiet tick's radios, no handler run since
+            self.trace.on_sets[t] = self._quiet_ids
+            return
+        on_sorted = sorted(on)
+        self.trace.on_sets[t] = on_ids = tuple(on_sorted)
         procs = [self.procs[pid] for pid in on_sorted]
         if self._quiet(procs, t):
+            if self._quiet_repeats:
+                self._quiet_on, self._quiet_ids = on, on_ids
             return
+        self._quiet_on = None  # a handler runs
         # no self-loops: nobody hears a lone radio, so it builds no messages
         out = [p.transmissions(t) for p in procs] if len(procs) > 1 else ()
         for handler in self._phases:

@@ -191,6 +191,16 @@ class _Proto:
     ticks and pass ticks: there its handlers, like `synchronize`'s between
     report ticks and policy ends, only adopt.
 
+    QUIET_BY_STATE states that a class's `quiet` reads the processors'
+    state alone, never t: then the same radios, with no handler run since,
+    get the same verdict, and the integer engine judges a repeat of the
+    last quiet tick's radios without a call (engine.World).  `naive`'s
+    verdict reads clocks and `_unmet`, `pairwise`'s `_unmet` alone, and
+    `pairwise` inherits naive's fact.
+    `synchronize` and `dynamic-synch` do not state it: their verdicts turn
+    on t (report ticks and policy ends; initial rounds, main ticks and
+    pass ticks), which the same radios reach between two of their ticks.
+
     Every message one processor sends in one sub-phase carries the same
     tau, j and q: handlers build their messages after they adopt, and
     nothing changes a clock between a processor's handler and its next.
@@ -200,13 +210,15 @@ class _Proto:
     Each algorithm's class states its own facts, read through PROTOCOLS:
     `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
     completion guarantee), `budget(n, k)` (the energy bound per processor),
-    SINGLE_HOP, FRACTIONAL and the STRUCTURAL_CHECKS that describe its traces,
-    `policies(n, k)` (its processors' policies by record kind, built once
-    per world as `world.policies`, one object per kind) and `quiet(procs, t)`.
+    SINGLE_HOP, FRACTIONAL, QUIET_BY_STATE and the STRUCTURAL_CHECKS that
+    describe its traces, `policies(n, k)` (its processors' policies by
+    record kind, built once per world as `world.policies`, one object per
+    kind) and `quiet(procs, t)`.
     """
 
     PHASES = ("react",)  # the handlers run after transmissions (see engine)
     SINGLE_HOP = False
+    QUIET_BY_STATE = False
     FRACTIONAL = True
     STRUCTURAL_CHECKS = ()
     schedule_k = staticmethod(compute_k)
@@ -582,6 +594,8 @@ class NaiveProto(_Proto):
     holds a processor's neighbours with no contact yet, and the end that
     records a pair's contact takes each end out of the other's set (every
     processor of a world has the one class, so the other's set exists)."""
+
+    QUIET_BY_STATE = True  # quiet reads clocks and _unmet, never t (see _Proto)
 
     @staticmethod
     def schedule_k(n, m):

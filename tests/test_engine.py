@@ -12,7 +12,7 @@ from radiosync.adversary import build_topology
 from radiosync.core import SimConfig
 from radiosync.engine import Message, World, energy, run
 from radiosync.fractional import FracWorld, run_fractional
-from radiosync.policy import PolicyString
+from radiosync.policy import PolicyString, basic_policy
 
 ALGORITHMS = list(protocols.PROTOCOLS)
 
@@ -202,7 +202,9 @@ def test_receivers_are_radio_on_neighbours(topology, algorithm):
 def test_lone_radio_builds_no_messages(monkeypatch, algorithm):
     # a lone radio has no receiver, and a quiet tick runs no handler, so
     # neither calls `transmissions`; any other shared tick calls it once per
-    # radio.  Each algorithm has both kinds of shared tick here.
+    # radio.  Each algorithm has both kinds of shared tick here.  A shared
+    # tick with no verdict repeats the radios of the last tick judged quiet,
+    # with no busy tick between them (World._on_instant).
     cls = protocols.PROTOCOLS[algorithm]
     calls = []
 
@@ -219,9 +221,75 @@ def test_lone_radio_builds_no_messages(monkeypatch, algorithm):
     sizes = {len(s) for s in tr.on_sets.values()}
     assert 1 in sizes and max(sizes) > 1
     shared = [t for t, s in tr.on_sets.items() if len(s) > 1]
-    busy = [t for t in shared if not verdicts[t]]
+    last_quiet = None
+    for t in sorted({*shared, *verdicts}):
+        if t in verdicts:
+            last_quiet = tr.on_sets[t] if verdicts[t] else None
+        else:
+            assert tr.on_sets[t] == last_quiet, t
+    busy = [t for t in shared if t in verdicts and not verdicts[t]]
     assert busy and len(busy) < len(shared)
     assert sorted(calls) == sorted((t, pid) for t in busy for pid in tr.on_sets[t])
+
+
+def _gapped_naive(monkeypatch, k):
+    """naive's handlers on the k-basic policy, whose radio sets recur."""
+    monkeypatch.setattr(protocols.NaiveProto, "policies",
+                        staticmethod(lambda n, _k: {"naive": basic_policy(k)}))
+
+
+def _same_run_without_repeats(monkeypatch, cfg):
+    cls = protocols.PROTOCOLS[cfg.algorithm]
+    assert cls.QUIET_BY_STATE
+    tr = World(cfg, record_messages=True).run()
+    monkeypatch.setattr(cls, "QUIET_BY_STATE", False)
+    ref = World(cfg, record_messages=True).run()
+    assert tr.messages and tr.messages == ref.messages
+    assert tr.digest() == ref.digest()
+
+
+# naive's radios are on over one stretch each, so a repeated radio set
+# follows a quiet tick directly.  On the 4-basic policy ("naive-gapped") the
+# radios of a quiet tick come back after busy ticks that moved their clocks.
+@pytest.mark.parametrize("algorithm, topology, n, wakes", [
+    *((alg, topo, 16, "seeded-random") for alg in ("naive", "pairwise")
+      for topo in ("complete", "two-clique", "l-connected:1")),
+    ("naive-gapped", "two-clique", 20, [11, 11, 2, 16]),
+])
+def test_repeated_quiet_radios_change_no_trace(monkeypatch, algorithm, topology, n, wakes):
+    if algorithm == "naive-gapped":
+        algorithm = "naive"
+        _gapped_naive(monkeypatch, 4)
+    m = 16 if wakes == "seeded-random" else len(wakes)
+    _same_run_without_repeats(monkeypatch, SimConfig(
+        n=n, m=m, wake_times=wakes, seed=2, topology=build_topology(topology, m),
+        algorithm=algorithm))
+
+
+def test_the_audit_forgets_the_quiet_radios(monkeypatch):
+    # both radios are on at 0-2, 5, 8 and 11 (the 3-basic policy from 0),
+    # quiet from 1; processor 1's clock moves at the 2n audit, after tick
+    # 8's radio-on event, so tick 11 is busy again
+    def audit(self, t):
+        if self.id == 1:
+            self.set_clock(t, self.tau(t) + 5)
+
+    _gapped_naive(monkeypatch, 3)
+    monkeypatch.setattr(protocols.NaiveProto, "audit", audit)
+    _same_run_without_repeats(monkeypatch, SimConfig(n=4, m=2, wake_times=[0, 0],
+                                                     algorithm="naive"))
+
+
+def test_repeated_quiet_radios_skip_the_verdict():
+    # a dense naive run: most radio-on ticks repeat the radios of the quiet
+    # tick before them, and only the others reach `quiet`
+    world = World(SimConfig(n=64, m=16, wake_times="seeded-random", seed=0,
+                            algorithm="naive"))
+    visits, verdicts = [], []
+    world._on_instant = lambda key, t, _on=world._on_instant: visits.append(t) or _on(key, t)
+    world._quiet = lambda procs, t, _quiet=world._quiet: verdicts.append(t) or _quiet(procs, t)
+    world.run()
+    assert (len(visits), len(visits) - len(verdicts)) == (116, 76)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
