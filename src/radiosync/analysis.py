@@ -20,6 +20,7 @@ import math
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .core import ceil_log2
 
@@ -51,15 +52,14 @@ class CheckReport:
         return self.passed
 
 
+_SPAN_FIELDS = attrgetter("nominal_start", "effective_from", "policy.bits")
+
+
 def _performed(trace):
-    """(record_index, start, end) for every non-empty active span."""
-    out = []
-    for i, rec in enumerate(trace.policies):
-        a = rec.active_start
-        b = rec.span_end
-        if a <= b:
-            out.append((i, a, b))
-    return out
+    """(record_index, start, end) for every non-empty active span: each
+    record's active_start and span_end, from fields read in one pass."""
+    return [(i, s, e) for i, (a, f, bits) in enumerate(map(_SPAN_FIELDS, trace.policies))
+            if (s := f if f > a else a) <= (e := a + len(bits) - 1)]
 
 
 def _record_length(rec) -> int:
@@ -79,7 +79,7 @@ def discontinuity_points(trace, lo=None, hi=None) -> set:
         hi = trace.horizon
     out = set()
     t = lo  # first tick not yet classified
-    for a, b in _continuing_union(trace):
+    for a, b in _continuing_union(_performed(trace)):
         if a > hi:
             break
         if b >= t:
@@ -89,9 +89,9 @@ def discontinuity_points(trace, lo=None, hi=None) -> set:
     return out
 
 
-def _continuing_union(trace):
-    """Merged intervals of ticks t where some span covers t and t+1."""
-    halves = sorted((a, b - 1) for _i, a, b in _performed(trace) if b > a)
+def _continuing_union(spans):
+    """Merged intervals of ticks t where some span (of _performed) covers t and t+1."""
+    halves = sorted((a, b - 1) for _i, a, b in spans if b > a)
     merged = []
     for a, b in halves:
         if merged and a <= merged[-1][1] + 1:
@@ -109,10 +109,11 @@ def clusters(trace) -> list:
     A span joins the covered interval holding its start: they are disjoint,
     and only a single-tick span can lie outside them all.
     """
-    covered = [(a, b + 1) for a, b in _continuing_union(trace)]
+    spans = _performed(trace)
+    covered = [(a, b + 1) for a, b in _continuing_union(spans)]
     starts = [a for a, _b in covered]
     groups = {}  # interval -> record indices, ascending
-    for i, a, b in _performed(trace):
+    for i, a, b in spans:
         j = bisect.bisect_right(starts, a) - 1
         iv = covered[j] if j >= 0 and a <= covered[j][1] else (a, b)
         groups.setdefault(iv, []).append(i)
@@ -127,17 +128,16 @@ def clusters(trace) -> list:
     return out
 
 
-def interval_stats(trace, lo: int, hi: int) -> IntervalStats:
-    """Main-part covering weight of [lo, hi], boundary-straddlers clipped."""
+def interval_stats(trace, lo: int, hi: int, spans=None) -> IntervalStats:
+    """Main-part covering weight of [lo, hi], boundary-straddlers clipped;
+    `spans` is _performed(trace), computed here when not given."""
     cwet = 0
     touched = 0
-    for _i, a, b in _performed(trace):
-        rec = trace.policies[_i]
-        ma = max(rec.active_start, rec.nominal_start + rec.policy.initial_len)
-        mb = rec.span_end
-        if ma > mb:
-            continue
-        lo2, hi2 = max(ma, lo), min(mb, hi)
+    recs = trace.policies
+    for i, a, b in _performed(trace) if spans is None else spans:
+        rec = recs[i]
+        lo2 = max(a, rec.nominal_start + rec.policy.initial_len, lo)  # main part from here
+        hi2 = min(b, hi)
         if lo2 <= hi2:
             touched += 1
             cwet += hi2 - lo2 + 1
@@ -149,7 +149,7 @@ def check_continuity(trace, interval) -> bool:
     """True iff no tick of the closed interval is a discontinuity point,
     that is, iff one merged continuing interval holds all of it."""
     lo, hi = interval
-    return lo > hi or any(a <= lo and hi <= b for a, b in _continuing_union(trace))
+    return lo > hi or any(a <= lo and hi <= b for a, b in _continuing_union(_performed(trace)))
 
 
 def final_window(trace) -> tuple:
@@ -333,9 +333,10 @@ def check_dynamic(trace, cl=None) -> CheckReport:
             ok = False
             details.append(f"windows overlap in [0,2n]: p{o1} [{a1},{b1}] vs p{o2} [{a2},{b2}]")
 
+    spans = _performed(trace)
     for c in clusters(trace) if cl is None else cl:
         if c.interval[0] >= 0 and c.interval[1] <= 2 * n:
-            stats = interval_stats(trace, c.interval[0], c.interval[1])
+            stats = interval_stats(trace, c.interval[0], c.interval[1], spans)
             if stats.cden > 1:
                 ok = False
                 details.append(f"cluster {c.interval} has main density {stats.cden} > 1")

@@ -299,6 +299,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a config too large to hold: a usage error, not a failed check
+        print("error: out of memory; the config is too large to run", file=sys.stderr)
+        return 2
     return code
 
 

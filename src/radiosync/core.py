@@ -4,6 +4,7 @@ Everything here is exact integer arithmetic; no floats anywhere so that
 simulation traces are bit-reproducible.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -91,7 +92,19 @@ def _edges_ok(edges, m) -> bool:
 
 
 def complete_topology(m: int) -> Topology:
+    """The complete graph on processors 1..m, built once per m and shared.
+
+    `Topology` is frozen and its edges are a frozenset, so every config and
+    world of one m can hold the same object.  `m` is checked before the memo
+    is read: `lru_cache` takes True == 1 and 2.0 == 2 for one key, so a hit
+    must never stand in for a rejected argument.  An m below 1 raises in
+    `Topology` and is not cached."""
     check_int("m", m)
+    return _complete_topology(m)
+
+
+@functools.lru_cache(maxsize=8)  # every m of any one perfbench workload; m=64 holds about 0.25 MB
+def _complete_topology(m: int) -> Topology:
     return Topology(m=m, edges=frozenset(combinations(range(1, m + 1), 2)), kind="complete")
 
 

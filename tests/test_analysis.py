@@ -223,6 +223,65 @@ def test_first_window_is_heavily_covered():
     assert st.cden * (2 * tr.n + 1) >= 8 * tr.n
 
 
+def _main_stats_oracle(trace, lo, hi):
+    """interval_stats written out from the record properties, per record."""
+    cwet = touched = 0
+    for r in trace.policies:
+        ma = max(r.active_start, r.nominal_start + r.policy.initial_len)
+        lo2, hi2 = max(ma, lo), min(r.span_end, hi)
+        if lo2 <= hi2:
+            touched += 1
+            cwet += hi2 - lo2 + 1
+    return cwet, touched
+
+
+@pytest.mark.parametrize("alg, n, m, seed", [("dynamic-synch", 256, 16, 2),
+                                             ("synchronize", 64, 8, 1),
+                                             ("synchronize", 32, 4, 3)])
+def test_interval_stats_over_spans_computed_once(alg, n, m, seed):
+    tr = run(SimConfig(n=n, m=m, wake_times="seeded-random", seed=seed, algorithm=alg))
+    spans = analysis._performed(tr)
+    intervals = [c.interval for c in analysis.clusters(tr)] + [(0, 2 * n), (n, 3 * n)]
+    for lo, hi in intervals:
+        once = analysis.interval_stats(tr, lo, hi, spans)
+        assert once == analysis.interval_stats(tr, lo, hi)
+        assert (once.cwet, once.policies_touched) == _main_stats_oracle(tr, lo, hi)
+
+
+# --- the performed spans ------------------------------------------------------
+
+_TIME = st.integers(-6, 30) | st.fractions(-6, 30, max_denominator=8)
+
+
+@st.composite
+def policy_records(draw):
+    """A record started at an int or a Fraction: as scheduled, clipped, fully
+    past, or effective only beyond the trace's horizon (20)."""
+    bits = draw(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=8))
+    start = draw(_TIME)
+    end = start + len(bits) - 1
+    eff = draw(st.sampled_from(["start", "clipped", "past", "beyond"]))
+    eff = {"start": start, "clipped": start + draw(st.integers(0, len(bits) - 1)),
+           "past": end + draw(st.integers(1, 4)), "beyond": draw(st.integers(21, 40))}[eff]
+    return PolicyRecord(owner=draw(st.integers(1, 4)), kind="basic",
+                        policy=PolicyString(tuple(bits), draw(st.integers(0, len(bits)))),
+                        nominal_start=start, effective_from=eff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(policy_records(), max_size=12))
+def test_performed_matches_its_definition(recs):
+    tr = make_trace(recs)
+    want = [(i, r.active_start, r.span_end) for i, r in enumerate(recs)
+            if r.active_start <= r.span_end]
+    got = analysis._performed(tr)
+    assert got == want
+    assert [tuple(map(type, g)) for g in got] == [tuple(map(type, w)) for w in want]
+    for lo, hi in [(0, 20), (-6, 40), (3, 9)]:
+        stats = analysis.interval_stats(tr, lo, hi)
+        assert (stats.cwet, stats.policies_touched) == _main_stats_oracle(tr, lo, hi)
+
+
 # --- continuity --------------------------------------------------------------
 
 def test_check_continuity_examples():

@@ -105,6 +105,18 @@ def test_sweep_without_n_or_m_exits_two(tmp_path, capsys, n, m):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--out", "{tmp}/sweep.csv"]])
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    # a stand-in: a config too large to hold is never allocated for real
+    def no_memory(cfg):
+        raise MemoryError
+    monkeypatch.setattr(cli, "run", no_memory)
+    argv = [a.format(tmp=tmp_path) for a in command] + ["--n", "8", "--m", "2"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and "memory" in err
+
+
 def test_unknown_check_exits_two(capsys):
     code, _, err = run_cli(["run", "--n", "4", "--m", "2", "--check", "nonsense"],
                            capsys)

@@ -12,7 +12,8 @@ from radiosync.core import (
     generate_wakes,
     validate_config,
 )
-from radiosync.adversary import two_clique
+from radiosync import core
+from radiosync.adversary import build_topology, two_clique
 from radiosync.engine import World, run
 from radiosync.fractional import run_fractional
 
@@ -198,6 +199,49 @@ def test_topology_helpers():
     assert len(t.edges) == 6
     assert t.is_complete
     assert t.adjacency()[2] == {1, 3, 4}
+
+
+# --- the complete topology, built once per m -----------------------------------
+
+def test_complete_topology_is_built_once_per_m():
+    assert complete_topology(6) is complete_topology(6)
+    assert build_topology("complete", 6) is complete_topology(6)
+    assert complete_topology(6) is not complete_topology(7)
+
+
+def test_validated_configs_of_one_m_share_the_complete_topology():
+    a = validate_config(SimConfig(n=8, m=5, wake_times=[0, 1, 2, 3, 4]))
+    b = validate_config(SimConfig(n=16, m=5, wake_times="seeded-random", algorithm="naive"))
+    c = validate_config(SimConfig(n=8, m=4, wake_times=[0, 1, 2, 3]))
+    assert a.topology is b.topology is complete_topology(5)
+    assert c.topology is not a.topology and c.topology.m == 4
+
+
+# lru_cache takes True == 1 and 2.0 == 2 for one key (by keyword always, and
+# positionally when the first call was not a plain int): the check runs first
+@pytest.mark.parametrize("by_keyword", [False, True])
+@pytest.mark.parametrize("bad", [True, False, 2.0, 1.0, "2", None])
+def test_a_memo_hit_never_stands_in_for_a_rejected_m(bad, by_keyword):
+    call = (lambda m: complete_topology(m=m)) if by_keyword else complete_topology
+    call(1), call(2)
+    with pytest.raises(ConfigError, match="m must be an int"):
+        call(bad)
+
+
+def test_a_refused_m_is_not_cached():
+    core._complete_topology.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="m must be >= 1"):
+            complete_topology(0)
+    info = core._complete_topology.cache_info()
+    assert info.currsize == 0 and info.hits == 0
+
+
+def test_the_memo_keeps_at_most_eight_topologies():
+    for m in range(1, 21):
+        t = complete_topology(m)
+        assert t.m == m and t.kind == "complete" and len(t.edges) == m * (m - 1) // 2
+    assert core._complete_topology.cache_info().currsize <= 8
 
 
 # (True, 2) once ran as (1, 2), with another digest: the config echo wrote true
