@@ -1,8 +1,8 @@
 """Lower-bound probes at desk scale: graph constructions whose bridge
-vertices force radio spending, and brute-force wake-offset searches that
-defeat under-budgeted schedules.
+vertices force radio spending, and an exhaustive wake-offset search that
+defeats under-budgeted schedules.
 
-The searches certify *oblivious* schedules only (fixed on/off strings, no
+The search certifies *oblivious* schedules only (fixed on/off strings, no
 adaptivity), which is the regime where exhaustive offset enumeration is
 meaningful at small n.
 """
@@ -156,74 +156,45 @@ def _masks(schedules):
 
 
 def search_non_overlap(schedules, n: int) -> OffsetWitness | None:
-    """Find wake offsets in [0, n] with zero pairwise overlap, or None.
+    """Find wake offsets in [0, n] under which no two schedules share an
+    on-tick, or None when no such offsets exist.
 
-    Exhaustive for up to three schedules (offsets are shift-invariant, so
-    the first is pinned to 0); beyond that, offsets are composed pairwise
-    against the first schedule and the composition is then re-verified, so
-    any returned witness is sound even though the search is not complete.
+    Exact for any number of schedules.  Offsets are shift-invariant, so the
+    first schedule is pinned at relative offset 0; each later one tries the
+    relative offsets 0..n, then -1..-n, that keep the spread of the placed
+    offsets at most n and overlap no placed schedule, backtracking when none
+    does.  The cost is exponential in the number of schedules, up to
+    (2n + 1)^(k-1) placements for k.  The witness's least offset is 0.
     """
     if check_int("n", n) < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
     masks = _masks(schedules)
     if not masks:
         return OffsetWitness(offsets=(), certified=True)
-    if len(masks) <= 3:
-        found = _search_exhaustive(masks, n)
-    else:
-        found = _search_pairwise(masks, n)
+    found = _place(masks, n, [0])
     if found is None:
         return None
-    offsets = tuple(found)
-    if _verify_witness(masks, offsets):
-        return OffsetWitness(offsets=offsets, certified=True)
-    return None
+    low = min(found)
+    return OffsetWitness(offsets=tuple(off - low for off in found), certified=True)
 
 
-def _verify_witness(masks, offsets):
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks_overlap(masks[i], masks[j], offsets[j] - offsets[i]):
-                return False
-    return True
-
-
-def _search_exhaustive(masks, n):
-    if len(masks) == 1:
-        return [0]
-    if len(masks) == 2:
-        # offsets with the first schedule at 0 sort lexicographically first
-        for d in [*range(0, n + 1), *range(-1, -n - 1, -1)]:
-            if not masks_overlap(masks[0], masks[1], d):
-                return [max(0, -d), max(0, d)]
-        return None
-    for d1 in range(-n, n + 1):
-        if masks_overlap(masks[0], masks[1], d1):
-            continue
-        for d2 in range(-n, n + 1):
-            if masks_overlap(masks[0], masks[2], d2):
-                continue
-            if masks_overlap(masks[1], masks[2], d2 - d1):
-                continue
-            base = max(0, -d1, -d2)
-            if max(base, base + d1, base + d2) <= n:
-                return [base, base + d1, base + d2]
-    return None
-
-
-def _search_pairwise(masks, n):
-    offsets = [0]
-    for mask in masks[1:]:
-        placed = None
-        for t in range(n + 1):
-            if all(not masks_overlap(masks[i], mask, t - offsets[i])
-                   for i in range(len(offsets))):
-                placed = t
+def _place(masks, n, offsets):
+    """`offsets` extended by a placement of every mask after the placed ones
+    (see search_non_overlap), or None if there is none."""
+    if len(offsets) == len(masks):
+        return offsets
+    mask = masks[len(offsets)]
+    placed = list(zip(masks, offsets))
+    lo, hi = min(offsets), max(offsets)  # lo <= 0 <= hi: the first is at 0
+    for d in (*range(lo + n + 1), *range(-1, hi - n - 1, -1)):
+        for other, off in placed:
+            if masks_overlap(other, mask, d - off):
                 break
-        if placed is None:
-            return None
-        offsets.append(placed)
-    return offsets
+        else:
+            found = _place(masks, n, offsets + [d])
+            if found is not None:
+                return found
+    return None
 
 
 def schedule_family(n: int, c: int) -> dict:

@@ -131,6 +131,8 @@ def clusters(trace) -> list:
 def interval_stats(trace, lo: int, hi: int, spans=None) -> IntervalStats:
     """Main-part covering weight of [lo, hi], boundary-straddlers clipped;
     `spans` is _performed(trace), computed here when not given."""
+    if hi < lo:  # no ticks: a density over them is undefined
+        raise ValueError(f"empty interval [{lo}, {hi}]")
     cwet = 0
     touched = 0
     recs = trace.policies

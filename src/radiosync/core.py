@@ -10,7 +10,6 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from operator import lt
 
 
 class ConfigError(ValueError):
@@ -43,7 +42,7 @@ def compute_k(n: int, m: int) -> int:
 @dataclass(frozen=True)
 class Topology:
     """Simple undirected graph on processors 1..m (edges as sorted pairs, kept as a
-    frozenset).  `_edges_ok` checks them in C, so a complete one costs no Python per edge."""
+    frozenset).  The complete graph is built and checked once per m (complete_topology)."""
 
     m: int
     edges: frozenset[tuple[int, int]]
@@ -58,8 +57,6 @@ class Topology:
         if not isinstance(self.edges, (set, frozenset)):
             raise ConfigError(f"edges must be a set of (u, v) pairs, got {self.edges!r}")
         object.__setattr__(self, "edges", frozenset(self.edges))  # not the caller's set, which may grow
-        if _edges_ok(self.edges, self.m):
-            return
         for e in self.edges:
             # int endpoints, not bools: the config echo would write True as true
             if not (isinstance(e, tuple) and len(e) == 2 and all(type(x) is int for x in e)
@@ -79,16 +76,6 @@ class Topology:
     @property
     def is_complete(self) -> bool:
         return len(self.edges) == self.m * (self.m - 1) // 2
-
-
-def _edges_ok(edges, m) -> bool:
-    """Whether every edge is a tuple of ints 1 <= u < v <= m, by C passes, each on types the
-    last one passed.  If not, the per-edge loop names the bad edge (or takes a tuple subclass)."""
-    if {*map(type, edges)} != {tuple} or {*map(len, edges)} != {2}:
-        return False
-    us, vs = zip(*edges)
-    return ({*map(type, us + vs)} == {int} and min(us) >= 1 and max(vs) <= m
-            and all(map(lt, us, vs)))
 
 
 def complete_topology(m: int) -> Topology:

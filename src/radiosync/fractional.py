@@ -81,8 +81,8 @@ class FracWorld(World):
     any adoption, and sorted once; a slot that starts now hears every
     adjacent open slot, an earlier one only the adjacent starters; and each
     message carries q' = (receiver's slot-start key - sender's) / unit.  A
-    close runs `react` and `tick_end` only: the queue protocol, the one
-    class with later sub-phases, is rejected.
+    close runs `react` and `tick_end` only, so `_time_unit` rejects a class
+    with later sub-phases in PHASES (the queue protocol).
     """
 
     def __init__(self, cfg):
@@ -92,7 +92,8 @@ class FracWorld(World):
     def _time_unit(self, cfg):
         if not cfg.fractional:
             raise ConfigError("FracWorld requires fractional=True")
-        if not PROTOCOLS[cfg.algorithm].FRACTIONAL:
+        # the queue hand-off's later sub-phases have no sub-unit timing
+        if PROTOCOLS[cfg.algorithm].PHASES != ("react",):
             raise ConfigError(f"fractional mode does not define {cfg.algorithm}'s timing")
         return 2 * math.lcm(*(w.denominator for w in cfg.wake_times))
 

@@ -210,16 +210,15 @@ class _Proto:
     Each algorithm's class states its own facts, read through PROTOCOLS:
     `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
     completion guarantee), `budget(n, k)` (the energy bound per processor),
-    SINGLE_HOP, FRACTIONAL, QUIET_BY_STATE and the STRUCTURAL_CHECKS that
-    describe its traces, `policies(n, k)` (its processors' policies by
-    record kind, built once per world as `world.policies`, one object per
-    kind) and `quiet(procs, t)`.
+    PHASES (the fractional engine runs only ("react",)), SINGLE_HOP,
+    QUIET_BY_STATE and the STRUCTURAL_CHECKS that describe its traces,
+    `policies(n, k)` (its processors' policies by record kind, built once
+    per world as `world.policies`, one object per kind) and `quiet(procs, t)`.
     """
 
     PHASES = ("react",)  # the handlers run after transmissions (see engine)
     SINGLE_HOP = False
     QUIET_BY_STATE = False
-    FRACTIONAL = True
     STRUCTURAL_CHECKS = ()
     schedule_k = staticmethod(compute_k)
 
@@ -420,7 +419,6 @@ class DynamicProto(_Proto):
 
     PHASES = ("react", "react2", "absorb")
     SINGLE_HOP = True
-    FRACTIONAL = False  # the queue hand-off's sub-unit timing is not defined
     STRUCTURAL_CHECKS = ("dynamic",)
 
     @staticmethod

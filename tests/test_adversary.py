@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radiosync import adversary
 from radiosync.core import ConfigError
@@ -129,13 +130,40 @@ def test_triple_search_and_verification():
             assert not sets[i] & sets[j]
 
 
-def test_pairwise_composed_search():
+def test_four_schedule_search():
     schedules = [(1, 1)] * 4
     w = adversary.search_non_overlap(schedules, 20)
     assert w is not None and w.certified
 
 
-@pytest.mark.parametrize("count", [3, 4], ids=["exhaustive", "pairwise"])
+def _brute_force_offsets(schedules, n):
+    """The first offsets in [0, n]^k, in product order, under which no two
+    schedules share an on-tick; None if there are none."""
+    for offsets in product(range(n + 1), repeat=len(schedules)):
+        ticks = [on_ticks_from_bits(bits, off) for bits, off in zip(schedules, offsets)]
+        if not any(a & b for a, b in combinations(ticks, 2)):
+            return offsets
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=5).map(tuple),
+                min_size=1, max_size=4),
+       st.integers(0, 5))
+# placing one schedule at a time at its first free offset, with no backtracking,
+# finds no offsets here
+@example([(0, 0, 1, 0), (1, 0, 1, 1), (0, 1), (0,)], 3)
+def test_search_finds_a_witness_exactly_when_one_exists(schedules, n):
+    w = adversary.search_non_overlap(schedules, n)
+    assert (w is None) == (_brute_force_offsets(schedules, n) is None)
+    if w is not None:
+        assert w.certified and len(w.offsets) == len(schedules)
+        assert min(w.offsets) == 0 and max(w.offsets) <= n
+        ticks = [on_ticks_from_bits(bits, off) for bits, off in zip(schedules, w.offsets)]
+        assert not any(a & b for a, b in combinations(ticks, 2))
+
+
+@pytest.mark.parametrize("count", [3, 4], ids=["exhaustive", "four"])
 def test_search_finds_no_witness_where_none_exists(count):
     # three on-ticks each and offsets in [0, 2]: every two schedules overlap
     assert adversary.search_non_overlap([(1, 1, 1)] * count, 2) is None

@@ -200,6 +200,16 @@ def test_interval_stats_clips_main_parts():
     assert st.cwet == 0
 
 
+@pytest.mark.parametrize("lo, hi", [(5, 4), (4, 1)])
+def test_interval_stats_rejects_an_empty_interval(lo, hi):
+    # an interval with no ticks has no density
+    tr = run(SimConfig(n=8, m=2, wake_times=[0, 3]))
+    with pytest.raises(ValueError, match=rf"empty interval \[{lo}, {hi}\]"):
+        analysis.interval_stats(tr, lo, hi)
+    one = analysis.interval_stats(tr, 4, 4)
+    assert one.interval == (4, 4) and one.cden == one.cwet <= 1
+
+
 def test_interval_weight_additive_at_boundaries():
     rng = random.Random(3)
     for _ in range(10):

@@ -274,7 +274,7 @@ def test_malformed_topology_rejected(m, edges, kind, match):
 
 
 class Pair(tuple):
-    """A tuple subclass: the per-edge rule takes it, the C-level passes do not."""
+    """A tuple subclass: the per-edge rule takes it."""
 
 
 def _edge_ok(e, m):
@@ -308,7 +308,7 @@ def edge_sets(draw):
     good = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
     junk = st.tuples(ends, ends) | st.tuples(ends, ends).map(Pair) | st.sampled_from(EDGE_JUNK)
     edges = draw(st.frozensets(junk, max_size=3))
-    if good:  # most pairs, so that many sets pass the C-level passes
+    if good:  # most pairs, so that many sets pass the check
         edges |= frozenset(good) - draw(st.frozensets(st.sampled_from(good)))
     return m, edges
 
@@ -320,7 +320,7 @@ def test_edge_check_matches_the_per_edge_rule(m_edges):
 
 
 # every pair of processors 1..5, alone and with one entry on processor 6
-# that one C-level pass, or only the per-edge rule, must judge
+# that the per-edge rule must judge
 @pytest.mark.parametrize("extra", [None, (0, 6), (1, 9), (6, 2), (6, 6), (True, 6), (1.0, 6),
                                    (1, 6.0), (1, "6"), (1, 2, 6), (6,), 16, "16", Pair((1, 6)),
                                    Pair((2, 9))])

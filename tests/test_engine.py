@@ -425,7 +425,7 @@ def test_tau_at_horizon_is_the_final_clock(algorithm, n, raw):
     wakes = [Fraction(x % (n * d + 1), d) for d, x in raw]
     traces = [run(SimConfig(n=n, m=len(wakes), wake_times=[math.floor(w) for w in wakes],
                             algorithm=algorithm))]
-    if protocols.PROTOCOLS[algorithm].FRACTIONAL:
+    if protocols.PROTOCOLS[algorithm].PHASES == ("react",):
         traces.append(run_fractional(SimConfig(n=n, m=len(wakes), wake_times=wakes,
                                                algorithm=algorithm, fractional=True)))
     for tr in traces:
