@@ -202,6 +202,9 @@ def _write_trace_csv(trace, path):
     the rows are built from columns: one column of strings per distinct
     delta, the radio-on ids (one text per distinct on-set) and a blank
     column for a processor not yet awake, zipped and joined row by row in C.
+    A segment in which every processor is awake and every clock shows one
+    delta (most rows, once the clocks agree) needs no columns: each row is
+    one f-string, its tick, its ids and that clock's ",tau" block m times.
 
     The bytes are those of csv.writer's excel dialect: comma-separated,
     "\\r\\n" after every row, no quoting, which none of these fields (ints,
@@ -223,10 +226,17 @@ def _write_trace_csv(trace, path):
                 deltas[owner - 1] = tau - tick
                 nxt += 1
             distinct = {d for d in deltas if d is not None}
+            synced = len(distinct) == 1 and None not in deltas
+            shift = deltas[0]
             for lo in range(t, end, _ROWS_PER_WRITE):  # empty when events share a tick
                 ticks = range(lo, min(end, lo + _ROWS_PER_WRITE))
+                ids = map(texts.get, map(on.get, ticks), blank)
+                if synced:  # every clock shows x + shift: one block, repeated
+                    fh.write("".join([f"{x},{s}{(',' + str(x + shift)) * m}\r\n"
+                                      for x, s in zip(ticks, ids)]))
+                    continue
                 cols = {d: list(map(str, range(lo + d, ticks.stop + d))) for d in distinct}
-                rows = map(",".join, zip(map(str, ticks), map(texts.get, map(on.get, ticks), blank),
+                rows = map(",".join, zip(map(str, ticks), ids,
                                          *[blank if d is None else cols[d] for d in deltas]))
                 fh.write("\r\n".join(rows) + "\r\n")
 

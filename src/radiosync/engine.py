@@ -59,7 +59,10 @@ list cut down to the senders its receiver hears.  On the complete topology
 every radio hears every other, so the delivery is shared: each inbox is
 the list less its receiver's own block of messages (a protocols.Inbox),
 and the early-sync winner is read from the two leading senders the
-sub-phase found once, not scanned per receiver.  The fractional engine
+sub-phase found once, not scanned per receiver.  The same pass keeps one
+map from each sender to its first message, which every inbox of the
+sub-phase shares, so an edge contact costs a set intersection with the
+receiver's unmet neighbours, not a scan of its inbox.  The fractional engine
 takes the filter path at each slot start, with its own hearing rule
 (fractional.FracWorld).
 The message log (`SimTrace.messages`) is recorded only on request.
@@ -479,9 +482,9 @@ class World:
 
         Every inbox holds, in INBOX_ORDER, the messages its receiver hears,
         none of its own.  On the complete topology each is a protocols.Inbox
-        sharing the sub-phase's `lead`: one pass over the senders finds each
-        one's block in the sorted list by the lengths of `outs`, with no
-        pass over the messages."""
+        sharing the sub-phase's `lead` and `firsts`: one pass over the
+        senders finds each one's block in the sorted list by the lengths of
+        `outs`, and its first message, with no pass over the messages."""
         sent = [msg for out in outs if out for msg in out] if len(on_sorted) > 1 else ()
         if not sent:
             return {}
@@ -500,12 +503,13 @@ class World:
         # messages in one block, in on_sorted order, len(out) long.
         Inbox = protocols.Inbox
         boxes = {}
+        firsts = {}
         best = second = None
         lo = 0
         for v, out in zip(on_sorted, outs):
             box = boxes[v] = Inbox(sent)
             if out:
-                msg = sent[lo]
+                msg = firsts[v] = sent[lo]
                 hi = lo + len(out)
                 del box[lo:hi]
                 lo = hi
@@ -517,6 +521,7 @@ class World:
         lead = (best, second)
         for box in boxes.values():
             box.lead = lead
+            box.firsts = firsts
         return boxes
 
 # json.dumps(obj, sort_keys=True) is this encoder's encode(obj); the echo has no cycles

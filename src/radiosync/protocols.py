@@ -94,12 +94,17 @@ class Stage2Record:
 class Inbox(list):
     """One receiver's inbox on a shared delivery (engine.World._exchange):
     the sub-phase's sorted messages less the receiver's own.  Every inbox
-    of the sub-phase shares `lead`: the first messages of the two largest
-    (j, sender) senders, the second None when one sender sent, which stand
-    for all of a sender's messages because they share one (tau, j, q) (see
-    _Proto)."""
+    of the sub-phase shares two fields, both built from the senders' first
+    messages, which stand for all of a sender's messages because they
+    share one (tau, j, q) (see _Proto):
 
-    __slots__ = ("lead",)
+    - `lead`: the first messages of the two largest (j, sender) senders,
+      the second None when one sender sent;
+    - `firsts`: one dict, each sender of the sub-phase to its first
+      message, in ascending sender id.  It holds the receiver's own block
+      too, so a reader skips the receiver (its own id is never an edge)."""
+
+    __slots__ = ("lead", "firsts")
 
 
 def sync_winner(j, pid, inbox):
@@ -204,8 +209,9 @@ class _Proto:
     Every message one processor sends in one sub-phase carries the same
     tau, j and q: handlers build their messages after they adopt, and
     nothing changes a clock between a processor's handler and its next.
-    So on a shared delivery (Inbox) `sync_winner` reads the winner from
-    the senders' first messages alone.
+    So on a shared delivery (Inbox) `sync_winner` reads the winner, and
+    `NaiveProto.edge_contacts` each clock delta, from the senders' first
+    messages alone.
 
     Each algorithm's class states its own facts, read through PROTOCOLS:
     `schedule_k(n, m)`, `horizon(n, k)` (the last simulated tick, from its
@@ -634,20 +640,29 @@ class NaiveProto(_Proto):
 
     def edge_contacts(self, t, inbox):
         """Record each new edge to an inbox sender with its clock delta, at
-        the sender's first message (inboxes are sorted by sender); both ends
-        then count the edge as met."""
+        the sender's first message, in ascending sender id; both ends then
+        count the edge as met.
+
+        The senders are the keys of an Inbox's shared `firsts`, or of the
+        same map built from a plain list; intersected with `_unmet`, which
+        CPython walks from the smaller side, they cost per new contact, not
+        per message heard."""
         unmet = self._unmet
         if not unmet:
             return
-        new = [msg for msg in inbox if msg.sender in unmet]
+        if type(inbox) is Inbox:
+            firsts = inbox.firsts
+        else:
+            firsts = {msg.sender: msg for msg in reversed(inbox)}
+        met = firsts.keys() & unmet
+        if not met:
+            return
         contacts, procs = self.trace.edge_contacts, self.world.procs
         tau, me, at = self.tau(t), self.id, t + self.phi
-        for msg in new:
-            other = msg.sender
-            if other in unmet:  # a sender may have sent several messages
-                unmet.discard(other)
-                procs[other]._unmet.discard(me)
-                contacts[(me, other) if me < other else (other, me)] = (at, msg.tau - tau)
+        for other in sorted(met):
+            unmet.discard(other)
+            procs[other]._unmet.discard(me)
+            contacts[(me, other) if me < other else (other, me)] = (at, firsts[other].tau - tau)
 
 
 class PairwiseProto(NaiveProto):

@@ -375,6 +375,8 @@ CSV_EXAMPLES = {
     # processor 4's blank column across the chunk boundary
     "blank-across-chunks": SimConfig(n=400, m=4, wake_times=[0, 1, 2, 399],
                                      algorithm="pairwise"),
+    # two clocks that agree from tick 0: one synchronized segment over three writes
+    "synced-over-writes": SimConfig(n=600, m=2, wake_times=[0, 0], algorithm="naive"),
 }
 
 
@@ -391,6 +393,9 @@ def test_csv_examples_are_what_they_say():
     assert [(t, o, tau) for t, o, tau, _q in events[:4]] == [(0, 1, 0), (1, 2, 0), (2, 3, 0),
                                                               (399, 4, 0)]
     assert 399 - 2 > _ROWS_PER_WRITE
+    synced = traces["synced-over-writes"]
+    assert synced.m >= 2 and synced.horizon + 1 > 2 * _ROWS_PER_WRITE
+    assert {(o, tau - t) for t, o, tau, _q in synced.clock_events} == {(1, 0), (2, 0)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -401,6 +406,7 @@ def test_csv_examples_are_what_they_say():
 @example(CSV_EXAMPLES["never-wakes"])
 @example(CSV_EXAMPLES["segment-over-buffer"])
 @example(CSV_EXAMPLES["blank-across-chunks"])
+@example(CSV_EXAMPLES["synced-over-writes"])
 def test_trace_csv_bytes_match_csv_writer(tmp_path_factory, cfg):
     trace = run(cfg)
     path = tmp_path_factory.getbasetemp() / "trace.csv"

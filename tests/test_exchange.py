@@ -121,6 +121,15 @@ def test_only_the_complete_topology_shares_a_delivery():
     assert all(type(box) is Inbox for box in boxes.values())
     assert [msg.sender for msg in boxes[2]] == [1, 4, 5]
     assert boxes[2].lead == (boxes[1][2], boxes[1][1])
+    # one sender map per sub-phase: each sender, the receiver included, at
+    # the first message of its sorted block; 2 sends nothing
+    outs = [[Message("sync", 1, 10, 1, (2,)), Message("sync", 1, 10, 1, (1,))], [],
+            [Message("sync", 4, 40, 4)], [Message("init", 5, 50, 5), Message("sync", 5, 50, 5)]]
+    boxes = complete._exchange(3, on, outs)
+    firsts = boxes[1].firsts
+    assert all(box.firsts is firsts for box in boxes.values())
+    assert list(firsts) == [1, 4, 5]
+    assert firsts[1] is outs[0][1] and firsts[4] is outs[2][0] and firsts[5] is outs[3][0]
     # two and three radios on share too
     for r in (2, 3):
         boxes = complete._exchange(3, on[:r], _outs(on[:r]))

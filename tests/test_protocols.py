@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from radiosync.core import SimConfig, ceil_log2
 from radiosync.engine import World, energy, run
-from radiosync.protocols import (PROTOCOLS, DynamicProto, Inbox, Message, NaiveProto,
-                                 ceil_sqrt, dynamic_next, flatten_next, sync_winner)
+from radiosync.protocols import (INBOX_ORDER, PROTOCOLS, DynamicProto, Inbox, Message,
+                                 NaiveProto, ceil_sqrt, dynamic_next, flatten_next,
+                                 sync_winner)
 
 
 # --- pure operations -------------------------------------------------------
@@ -344,6 +345,53 @@ def test_pairwise_learned_difference_is_wake_gap():
     tr = run(SimConfig(n=25, m=2, wake_times=[0, 7], algorithm="pairwise"))
     t, diff = tr.edge_contacts[(1, 2)]
     assert diff in (7, -7)  # clock gap equals the wake offset, sign per side
+
+
+@st.composite
+def contact_subphases(draw):
+    """(m, on, sends, deltas, unmet): the sorted radios on, each one's
+    messages (0 to 2, one (tau, j) each, payloads apart), every clock, and
+    symmetric sets of unmet neighbours, which may name radios that are off."""
+    m = draw(st.integers(2, 7))
+    on = sorted(draw(st.sets(st.integers(1, m), min_size=2)))
+    sends = {v: draw(st.lists(st.sampled_from([(), (1,), (2,)]), max_size=2, unique=True))
+             for v in on}
+    deltas = {v: draw(st.integers(-5, 5)) for v in range(1, m + 1)}
+    pairs = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, m))
+                         .filter(lambda e: e[0] < e[1])))
+    unmet = {v: {b if a == v else a for a, b in pairs if v in (a, b)} for v in range(1, m + 1)}
+    return m, on, sends, deltas, unmet
+
+
+@given(contact_subphases())
+def test_edge_contacts_agree_on_shared_and_plain_inboxes(case):
+    m, on, sends, deltas, unmet = case
+    t = 9
+    worlds = [World(SimConfig(n=8, m=m, algorithm="naive")) for _ in range(2)]
+    for world in worlds:
+        for v, p in world.procs.items():
+            p._delta, p._unmet = deltas[v], set(unmet[v])
+    # each sender's payloads in reverse, so the sort decides its first message
+    outs = [[Message("sync", v, t + deltas[v], t, payload) for payload in sends[v][::-1]]
+            for v in on]
+    shared = worlds[0]._exchange(t, on, outs)
+    plain = sorted([msg for out in outs for msg in out], key=INBOX_ORDER)
+    for v in on:
+        box = shared.get(v, ())
+        assert type(box) is (Inbox if shared else tuple)
+        worlds[0].procs[v].edge_contacts(t, box)
+        worlds[1].procs[v].edge_contacts(t, [msg for msg in plain if msg.sender != v])
+    # both against the rule: each receiver in turn meets every unmet sender
+    expected, left = {}, {v: set(u) for v, u in unmet.items()}
+    for v in on:
+        for s in on:
+            if sends[s] and s in left[v]:
+                left[v].discard(s)
+                left[s].discard(v)
+                expected[min(v, s), max(v, s)] = (t, deltas[s] - deltas[v])
+    for world in worlds:
+        assert list(world.trace.edge_contacts.items()) == list(expected.items())
+        assert {v: p._unmet for v, p in world.procs.items()} == left
 
 
 # --- trace-level invariants ---------------------------------------------------
