@@ -298,7 +298,8 @@ class World:
         self._in_wake_hook = False
 
         # incremental synchronization tracking: tau(t) = t + delta, so the
-        # clocks agree exactly when every awake delta (plus carry) agrees.
+        # clocks agree exactly when every awake global delta agrees (in event
+        # keys: delta less phi plus the carry, see protocols._Proto.set_clock).
         # Clocks change only at wakes and radio-on slots; the engine settles
         # each tick before the first change that follows it.
         self._delta_counter: Counter = Counter()
@@ -406,8 +407,9 @@ class World:
         self.trace.sync_complete_tick = None if self._unequal else self._last_unequal + 1
         for pid, proto in self.procs.items():
             if proto._delta is not None:  # clock at the owner's last tick
-                last = math.floor(self.horizon - proto.phi)
-                self.trace.final_clocks[pid] = (proto.tau(last), proto.q_frac)
+                last, q = math.floor(self.horizon - proto.phi), proto.carry
+                self.trace.final_clocks[pid] = (proto.tau(last),
+                                                Fraction(q, self.unit) if q else 0)
         return self.trace
 
     # -- event loop ----------------------------------------------------------

@@ -14,11 +14,12 @@ is how the engine detects synchronization and what the acceptance suite
 asserts.  With all-integer offsets every slot aligns, q stays 0, and the
 run projects tick-for-tick onto the integer engine.
 
-All arithmetic is exact (fractions.Fraction); no floats.  Protocols run
-on integer ticks in each processor's own frame (global time minus the
-fractional part of its wake, see protocols._Proto), so Fractions appear
-only in the carries q and q' and in trace records, which are kept in
-global time.
+All arithmetic is exact; no floats.  Protocols run on integer ticks in
+each processor's own frame (global time minus the fractional part of its
+wake, see protocols._Proto), and the engine counts the carries q and q' as
+ints in its event keys, steps of 1/unit, as it counts time.  Fractions
+appear only in trace records (instants, on-set keys, logged carries) and
+in `overlap_fraction` and `q_prime`, the definitions of the overlap and q'.
 """
 
 import heapq
@@ -80,7 +81,8 @@ class FracWorld(World):
     a hearing rule and q': every open slot's messages are built once, before
     any adoption, and sorted once; a slot that starts now hears every
     adjacent open slot, an earlier one only the adjacent starters; and each
-    message carries q' = (receiver's slot-start key - sender's) / unit.  A
+    message carries q', the receiver's slot-start key less the sender's: an
+    int in 1/unit steps, as the carries are (protocols._Proto).  A
     close runs `react` and `tick_end` only, so `_time_unit` rejects a class
     with later sub-phases in PHASES (the queue protocol).
     """
@@ -116,7 +118,7 @@ class FracWorld(World):
             r_key, _, inbox = slots[pid]
             hears = self.adj[pid] if r_key == key else self.adj[pid].intersection(starters)
             msgs = [Message(m.kind, m.sender, m.tau, m.j, m.payload, m.q,
-                            Fraction(d, unit) if (d := r_key - slots[m.sender][0]) else 0)
+                            r_key - slots[m.sender][0])
                     for m in sent if m.sender in hears]
             if msgs:
                 inbox.extend(msgs)

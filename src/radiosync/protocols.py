@@ -30,9 +30,11 @@ offset q as well (adopt_fractional).
 Handlers run in their processor's own frame: every time they see, store or
 send is an int tick, global time minus `phi`, the fractional part of the
 processor's wake (0 on the integer engine and for integral wakes).  Clock
-values and progress counters do not depend on the frame.  Trace records
-(clock events, reschedules, edge contacts, policy records) are written in
-global time, local tick + phi; only the carries q and qp are Fractions.
+values and progress counters do not depend on the frame.  The carries q
+and qp are ints too, counted in the engine's event keys (steps of
+1/world.unit).  Trace records (clock events, reschedules, edge contacts,
+policy records) are written in global time, local tick + phi, with each
+carry as the rational it counts.
 """
 
 import math
@@ -63,8 +65,9 @@ class Message:
     """A delivered message, slotted as a run builds thousands.  Every message
     piggybacks the sender's (tau, j), both ints; its payload is a tuple.
 
-    q is the sender's sub-unit clock offset and qp the receiver-specific
-    slot-start difference; both stay the integer 0 on the integer engine.
+    q is the sender's sub-unit clock offset (its carry) and qp the
+    receiver-specific slot-start difference, both ints in 1/unit steps of
+    the engine's event keys; both stay 0 on the integer engine.
     """
 
     kind: str  # sync | init | resp | pass | report
@@ -72,8 +75,8 @@ class Message:
     tau: int
     j: int
     payload: tuple = ()
-    q: Fraction | int = 0
-    qp: Fraction | int = 0
+    q: int = 0
+    qp: int = 0
 
 
 @dataclass
@@ -127,16 +130,17 @@ def sync_winner(j, pid, inbox):
     return best
 
 
-def adopt_fractional(tau_v, q_v, qp):
-    """Clock adoption with carry: returns the normalized (tau, q) pair."""
+def adopt_fractional(tau_v, q_v, qp, unit=1):
+    """Clock adoption with carry: returns the normalized (tau, q) pair.
+
+    The carries q_v and qp count steps of 1/unit: exact rationals with the
+    default unit 1, ints in event keys on the engine.  Their sum q carries
+    into the clock only when it leaves [-unit/2, unit/2]."""
     q = q_v + qp
-    # q > 1/2 iff 2 * numerator > denominator: exact, and two int
-    # comparisons cost far less than two Fraction comparisons
-    twice, den = 2 * q.numerator, q.denominator
-    if twice > den:
-        return tau_v + 1, q - 1
-    if twice < -den:
-        return tau_v - 1, q + 1
+    if 2 * q > unit:
+        return tau_v + 1, q - unit
+    if 2 * q < -unit:
+        return tau_v - 1, q + unit
     return tau_v, q
 
 
@@ -165,7 +169,8 @@ class _Proto:
 
     Ticks are local (see the module docstring): `phi` is the fractional
     part of the processor's wake, its offset from the integer grid, and
-    `off` the same offset in event keys (phi * world.unit).
+    `off` the same offset in event keys (phi * world.unit).  `carry` is the
+    clock's sub-unit offset q in event keys too, an int.
 
     The handlers are each class's own (the module docstring names them,
     engine.World runs them).  `transmissions(t)` builds sub-phase A's
@@ -235,10 +240,11 @@ class _Proto:
         self.n, self.k = world.n, world.k
         w = world.cfg.wake_times[pid - 1]
         self.phi = w - math.floor(w) or 0  # an int 0 on the integer grid
+        self.unit = world.unit
         self.off = int(self.phi * world.unit)
         self.wake = None
         self._delta = None  # tau(t) = t + delta, t local
-        self.q_frac = 0
+        self.carry = 0  # q * unit
 
     # clock / counter reads ------------------------------------------------
     def tau(self, t):
@@ -249,20 +255,21 @@ class _Proto:
     # state changes ---------------------------------------------------------
     def set_clock(self, t, tau_v, q_v=0, q_prime=0):
         """Set the clock: zero at wake, a peer's on adoption, with the peer's
-        carry (q_v, q_prime)."""
-        old = self._delta
-        old_q = self.q_frac
-        if q_v or q_prime:
-            tau_v, self.q_frac = adopt_fractional(tau_v, q_v, q_prime)
-        else:  # the integer engine's carries: skipping the call pays (BENCH_23.json)
-            self.q_frac = 0
-        self._delta = tau_v - t
-        if self._delta != old or self.q_frac != old_q:
-            # the engine compares global deltas: delta - phi, plus the carry
-            phi = self.phi
-            self.world._clock_change(self.id, None if old is None else old - phi + old_q,
-                                     self._delta - phi + self.q_frac)
-            self.trace.clock_events.append((t + phi, self.id, self.tau(t), self.q_frac))
+        carry q_v and the slot-start difference q_prime, ints in 1/unit
+        steps; the trace logs the carry as a Fraction, or 0."""
+        old, old_q = self._delta, self.carry
+        q = q_v + q_prime
+        if q:  # the integer engine's carries are 0: skipping the call pays (BENCH_23.json)
+            tau_v, q = adopt_fractional(tau_v, q_v, q_prime, self.unit)
+        self.carry = q
+        self._delta = delta = tau_v - t
+        if delta != old or q != old_q:
+            # the engine compares global deltas, delta - phi + q, times unit: ints
+            unit, off = self.unit, self.off
+            self.world._clock_change(self.id, None if old is None else old * unit - off + old_q,
+                                     delta * unit - off + q)
+            self.trace.clock_events.append((t + self.phi, self.id, tau_v,
+                                            Fraction(q, unit) if q else 0))
 
     def schedule(self, kind, policy, nominal_start, phase=None, meta=None):
         """Lay down a PolicyString starting at local tick nominal_start; the
@@ -287,7 +294,7 @@ class _Proto:
         return msg
 
     def _msg(self, t, kind, payload=()):
-        return Message(kind, self.id, t + self._delta, self.j(t), payload, self.q_frac)
+        return Message(kind, self.id, t + self._delta, self.j(t), payload, self.carry)
 
 
 class SynchronizeProto(_Proto):
@@ -568,7 +575,7 @@ class DynamicProto(_Proto):
 
     def _responses(self, t, progress):
         """A resp (member, its position, progress) to each queue member, as `_msg` builds one."""
-        tau, j, q, me = t + self._delta, self.j(t), self.q_frac, self.id
+        tau, j, q, me = t + self._delta, self.j(t), self.carry, self.id
         return [Message("resp", me, tau, j, (dest, pos, progress), q)
                 for pos, dest in enumerate(self.q, start=1)]
 

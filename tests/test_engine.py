@@ -317,10 +317,11 @@ def test_zero_carry_adoption_resets_carry():
     world.step()
     proto = world.procs[1]
     t = world.tick
-    proto.q_frac = Fraction(1, 3)
+    assert world.unit == 4
+    proto.carry = 1  # 1/4, in the world's key units
     tau = proto.tau(t) + 10
     proto.adopt(t, [Message(kind="sync", sender=2, tau=tau, j=tau)])
-    assert proto.q_frac == 0
+    assert proto.carry == 0
     assert proto.tau(t) == tau
     assert world.trace.clock_events[-1] == (t, 1, tau, 0)
 

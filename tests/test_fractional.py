@@ -1,9 +1,10 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radiosync import fractional
 from radiosync.adversary import build_topology
@@ -51,15 +52,33 @@ def test_adopt_fractional_cases():
     assert adopt_fractional(10, Fraction(-2, 5), Fraction(-1, 4)) == (9, Fraction(7, 20))
 
 
-@given(st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2)),
-       st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2)),
-       st.integers(min_value=0, max_value=100))
-def test_adopt_fractional_single_normalization_suffices(q_v, qp, tau):
-    # |q_v + q'| <= 1, so at most one carry is ever needed
-    assert abs(q_v + qp) <= 1
-    tau2, q2 = adopt_fractional(tau, q_v, qp)
-    assert abs(q2) <= HALF
-    assert tau2 + q2 == tau + q_v + qp  # the carry never changes the sum
+@st.composite
+def carries(draw):
+    """(unit, q_v, q'): unit is 2 * lcm of wake denominators up to 16, as
+    the fractional engine's, and the carries are ints in [-unit/2, unit/2],
+    counted in 1/unit steps."""
+    unit = 2 * math.lcm(*draw(st.lists(st.integers(1, 16), min_size=1, max_size=4)))
+    half = unit // 2
+    return unit, draw(st.integers(-half, half)), draw(st.integers(-half, half))
+
+
+@given(carries(), st.integers(min_value=0, max_value=100))
+# a sum of exactly +-unit/2 stays unnormalized, as +-1/2 does
+@example((2, 1, 0), 7)
+@example((48, -7, -17), 7)
+@example((24, 12, 12), 7)  # a sum of unit carries once, to 0
+def test_adopt_fractional_single_normalization_suffices(case, tau):
+    unit, q_v, qp = case
+    # the carry rule at two scales: ints in 1/unit steps, and the rationals they count
+    tau2, q2 = adopt_fractional(tau, q_v, qp, unit)
+    assert (tau2, Fraction(q2, unit)) == adopt_fractional(tau, Fraction(q_v, unit),
+                                                          Fraction(qp, unit))
+    # |q_v + q'| <= unit, so at most one carry is ever needed
+    assert abs(q_v + qp) <= unit
+    assert abs(2 * q2) <= unit
+    assert tau2 * unit + q2 == tau * unit + q_v + qp  # the carry never changes the sum
+    if abs(2 * (q_v + qp)) <= unit:  # no carry while the sum is in range
+        assert (tau2, q2) == (tau, q_v + qp)
 
 
 def test_timeline_anchor_identity():
@@ -167,7 +186,8 @@ class _HeardLog(FracWorld):
         before = {pid: len(box) for pid, (_, _, box) in self._slots.items()}
         super()._on_instant(key, instant)
         self.heard[instant] = Counter(
-            (pid, msg.sender, msg.qp) for pid, (_, _, box) in self._slots.items()
+            (pid, msg.sender, Fraction(msg.qp, self.unit))
+            for pid, (_, _, box) in self._slots.items()
             for msg in box[before.get(pid, 0):] if msg.kind == "sync")
 
 
@@ -263,13 +283,13 @@ class _FrameLog(FracWorld):
         for msg in inbox:
             self.ticks += [msg.tau, msg.j]
             self.carries += [msg.q, msg.qp]
-        self.carries.append(proto.q_frac)
+        self.carries.append(proto.carry)
 
 
 @pytest.mark.parametrize("algorithm", ["synchronize", "naive", "pairwise"])
 def test_protocols_run_on_integer_local_ticks(algorithm):
     # wakes off the integer grid: handlers still see, store and send ints
-    # only; the carries are the one place a Fraction remains
+    # only, and every carry they see is an int in 1/unit steps
     rng = random.Random(4)
     wakes = [Fraction(rng.randint(0, 32 * 8), 8) for _ in range(6)]
     cfg = SimConfig(n=32, m=6, wake_times=wakes, algorithm=algorithm, fractional=True)
@@ -279,6 +299,7 @@ def test_protocols_run_on_integer_local_ticks(algorithm):
     assert any(proto.phi for proto in world.procs.values())
     assert len(world.ticks) > 100
     assert all(type(t) is int for t in world.ticks)
-    assert any(type(q) is Fraction and q != 0 for q in world.carries)
+    assert all(type(q) is int for q in world.carries)
+    assert any(world.carries)
     if algorithm == "synchronize":
         assert trace.stage2 and all(type(r.frozen_j) is int for r in trace.stage2)

@@ -265,7 +265,7 @@ class _OneByOne(DynamicProto):
 
     def _msg(self, t, kind, payload=()):
         return Message(kind=kind, sender=self.id, tau=self.tau(t), j=self.j(t),
-                       payload=tuple(payload), q=self.q_frac)
+                       payload=tuple(payload), q=self.carry)
 
     def _responses(self, t, progress):
         return [self._msg(t, "resp", (dest, pos, progress))

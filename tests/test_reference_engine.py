@@ -224,7 +224,8 @@ class FracReferenceWorld(FracWorld):
     runs the audit at 2n.  The exchange probes every adjacent pair of slots
     that started within the last unit, one of them now, by
     `overlap_fraction` on their global [start, start + 1) intervals, takes
-    q' from `q_prime`, and builds each inbox per receiver.
+    q' from `q_prime`, scaled to event keys, and builds each inbox per
+    receiver.
     """
 
     def run(self):
@@ -277,9 +278,10 @@ class FracReferenceWorld(FracWorld):
                 overlap = overlap_fraction(interval(rx), interval(tx))
                 if overlap is None:
                     continue
-                qp = q_prime(overlap, slots[rx][1] > slots[tx][1])
+                qp = q_prime(overlap, slots[rx][1] > slots[tx][1]) * self.unit
+                assert qp.denominator == 1  # q' in event keys, as the engine counts it
                 inboxes.setdefault(rx, []).extend(
-                    dataclasses.replace(msg, qp=qp)
+                    dataclasses.replace(msg, qp=int(qp))
                     for msg in self.procs[tx].transmissions(self._local(tx, slots)))
         for rx in sorted(inboxes):
             inbox = sorted(inboxes[rx], key=INBOX_ORDER)
